@@ -304,6 +304,54 @@ int main(int argc, char** argv) {
     if (mismatches != 0) return 1;
   }
 
+  // Warm service row: the rows above build a fresh service per repetition,
+  // so every shape compiles inside their timing, while the compiled row
+  // compiles outside it. Here one 1-thread service, with a plan cache big
+  // enough for the workload, runs one untimed warm-up batch; the timed
+  // batches then hit the plan cache on every query, which isolates what
+  // the service adds on top of executing a compiled program.
+  {
+    service::ServiceOptions opts;
+    opts.num_threads = 1;
+    opts.plan_cache_capacity = static_cast<int>(queries.size());
+    auto svc = service::EstimationService::Create(sketch, opts);
+    if (!svc.ok()) {
+      std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
+      return 1;
+    }
+    (void)svc.value()->EstimateBatch(queries);  // compiles every shape
+    double best = 0.0;
+    size_t mismatches = 0;
+    service::BatchStats stats;
+    for (int r = 0; r < repeats; ++r) {
+      const Clock::time_point start = Clock::now();
+      auto results = svc.value()->EstimateBatch(queries, &stats);
+      best = std::max(best, static_cast<double>(queries.size()) /
+                                SecondsSince(start));
+      for (size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].ok() ||
+            std::memcmp(&results[i].value().estimate, &expected[i].estimate,
+                        sizeof(double)) != 0) {
+          ++mismatches;
+        }
+      }
+    }
+    if (mismatches != 0 || stats.plan_cache_hits != queries.size()) {
+      std::fprintf(stderr,
+                   "perf_batch FAILED: warm service row: %zu mismatches, "
+                   "%llu/%zu plan-cache hits\n",
+                   mismatches,
+                   static_cast<unsigned long long>(stats.plan_cache_hits),
+                   queries.size());
+      return 1;
+    }
+    if (!smoke) {
+      std::printf("%-12s %12.0f q/s   %5.2fx   1 thread, plan cache warm   "
+                  "bit-identical\n",
+                  "warm", best, best / seq_best);
+    }
+  }
+
   // Tracing-enabled row: every query span-sampled and the flight recorder
   // on — the worst-case observability configuration. Estimates must stay
   // bit-identical; the q/s delta against the 4-thread row above is the

@@ -90,6 +90,7 @@ batch_rows() {
     /^sequential/ { printf "%s\n      {\"row\": \"sequential\", \"qps\": %s}", sep, $2; sep="," }
     /^compiled/   { printf "%s\n      {\"row\": \"compiled\", \"qps\": %s, \"speedup\": %s}", sep, $2, substr($4, 1, length($4)-1); sep="," }
     /^traced /    { printf "%s\n      {\"row\": \"traced\", \"qps\": %s, \"speedup\": %s}", sep, $2, substr($4, 1, length($4)-1); sep="," }
+    /^warm /      { printf "%s\n      {\"row\": \"warm\", \"qps\": %s, \"speedup\": %s}", sep, $2, substr($4, 1, length($4)-1); sep="," }
     /^ *[0-9]+ threads/ && / q\/s / {
       printf "%s\n      {\"row\": \"%s threads\", \"qps\": %s, \"speedup\": %s, \"p50_us\": %s, \"p95_us\": %s}", sep, $1, $3, substr($5, 1, length($5)-1), $7, $10; sep=","
     }
@@ -99,6 +100,7 @@ batch_rows() {
 # perf_plan rows (per [P] / [P+V] workload section):
 #   estimate  logical        13385    1.00x   plan 3.5 ms   exec 3.5 ms ...
 #   routed    76/100 holistic   mixed 11.8 ms   all-binary ...
+#   routing   plan 3.1 ms
 plan_rows() {
   awk '
     /^\[/ { wl = substr($1, 2, length($1) - 2) }
@@ -107,7 +109,10 @@ plan_rows() {
     }
     /^ +routed/ {
       split($2, a, "/");
-      printf "%s\n      {\"workload\": \"%s\", \"strategy\": \"routed\", \"holistic_chosen\": %s, \"queries\": %s, \"mixed_ms\": %s}", sep, wl, a[1], a[2], $5; sep=","
+      printf "%s\n      {\"workload\": \"%s\", \"strategy\": \"routed\", \"holistic_chosen\": %s, \"queries\": %s, \"mixed_ms\": %s, \"binary_ms\": %s, \"holistic_ms\": %s}", sep, wl, a[1], a[2], $5, $8, $11; sep=","
+    }
+    /^ +routing +plan/ {
+      printf "%s\n      {\"workload\": \"%s\", \"strategy\": \"routing\", \"plan_ms\": %s}", sep, wl, $3; sep=","
     }
   ' "$1"
 }

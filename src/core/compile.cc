@@ -21,6 +21,36 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 const double kUnitProb = 1.0;
 
+// Stats counters saturate at INT_MAX instead of overflowing: one memo hit
+// adds a whole plan's replayed work, and nested '//' expansions multiply
+// that past what an int holds.
+void Tally(int& counter, int64_t n) {
+  counter = static_cast<int>(std::min<int64_t>(
+      int64_t{counter} + n, std::numeric_limits<int>::max()));
+}
+
+// The counters `now` gained since `before` (estimate unused).
+EstimateStats CountsSince(const EstimateStats& now,
+                          const EstimateStats& before) {
+  EstimateStats d;
+  d.covered_terms = now.covered_terms - before.covered_terms;
+  d.uniformity_terms = now.uniformity_terms - before.uniformity_terms;
+  d.conditioned_nodes = now.conditioned_nodes - before.conditioned_nodes;
+  d.value_fractions = now.value_fractions - before.value_fractions;
+  d.existential_terms = now.existential_terms - before.existential_terms;
+  d.descendant_chains = now.descendant_chains - before.descendant_chains;
+  return d;
+}
+
+void AddCounts(EstimateStats& into, const EstimateStats& d) {
+  Tally(into.covered_terms, d.covered_terms);
+  Tally(into.uniformity_terms, d.uniformity_terms);
+  Tally(into.conditioned_nodes, d.conditioned_nodes);
+  Tally(into.value_fractions, d.value_fractions);
+  Tally(into.existential_terms, d.existential_terms);
+  Tally(into.descendant_chains, d.descendant_chains);
+}
+
 // Process-wide compiled-execution metrics. The per-term counters are the
 // SAME registry entries the estimator mirrors into — E/U/D activity is a
 // property of the workload, not of the engine that evaluated it — plus
@@ -78,6 +108,13 @@ ExecScratch& ThreadLocalExecScratch() {
 // EvalSubtree / ChildTerm / ChainTerm / StepFactor recursion over the flat
 // program, with the same operations in the same order (see estimator.cc —
 // every arithmetic expression here has a corresponding line there).
+//
+// The plan memo is on in both modes unless the sketch has backward dims.
+// Without them no point set or value fraction reads the context stack, so
+// a plan's value — and with it every branch its evaluation takes, hence
+// every counter it bumps — is the same on each visit. Stats mode therefore
+// stores each plan's counter deltas with its value and replays them on a
+// hit, which sums to exactly what the reference's full replay counts.
 class CompiledTwig::Executor {
  public:
   Executor(const CompiledTwig& ct, ExecScratch& sc, EstimateStats* stats)
@@ -85,7 +122,7 @@ class CompiledTwig::Executor {
         fz_(*ct.frozen_),
         sc_(sc),
         stats_(stats),
-        memo_enabled_(!ct.enumerate_all_ && stats == nullptr) {}
+        memo_enabled_(!ct.enumerate_all_) {}
 
   double Run() {
     Metrics().queries->Increment();
@@ -94,6 +131,7 @@ class CompiledTwig::Executor {
       if (sc_.memo_epoch.size() < ct_.plans_.size()) {
         sc_.memo_epoch.resize(ct_.plans_.size(), 0);
         sc_.memo_val.resize(ct_.plans_.size(), 0.0);
+        sc_.memo_stats.resize(ct_.plans_.size());
       }
       if (++sc_.epoch == 0) {  // epoch wrapped: flush stale marks
         std::fill(sc_.memo_epoch.begin(), sc_.memo_epoch.end(), 0u);
@@ -176,7 +214,7 @@ class CompiledTwig::Executor {
     if (n_given == 0) {
       return PointView{fz_.static_probs(n), nullptr, nb, has_values};
     }
-    if (stats_ != nullptr) ++stats_->conditioned_nodes;
+    if (stats_ != nullptr) Tally(stats_->conditioned_nodes, 1);
 
     std::vector<double>& w = storage.probs;
     w.assign(fz_.fractions(n), fz_.fractions(n) + nb);
@@ -221,15 +259,20 @@ class CompiledTwig::Executor {
 
   double ExecPlan(int32_t id) {
     if (memo_enabled_ && sc_.memo_epoch[id] == sc_.epoch) {
+      if (stats_ != nullptr) AddCounts(*stats_, sc_.memo_stats[id]);
       return sc_.memo_val[id];
     }
     const Plan& p = ct_.plans_[id];
     double result;
-    if (stats_ == nullptr && p.zero_child) {
+    if (stats_ != nullptr) {
+      const EstimateStats before = *stats_;
+      result = General(p);
+      if (memo_enabled_) sc_.memo_stats[id] = CountsSince(*stats_, before);
+    } else if (p.zero_child) {
       // Some child always contributes factor 0; with every other factor
       // finite and non-negative each bucket term is +0, so the sum is 0.
       result = 0.0;
-    } else if (stats_ == nullptr && p.vector_fast) {
+    } else if (p.vector_fast) {
       result = VectorFast(p);
     } else {
       result = General(p);
@@ -265,10 +308,10 @@ class CompiledTwig::Executor {
                    uint32_t bucket) {
     if (child.kind == Child::Kind::kZero) return 0.0;
     if (stats_ != nullptr) {
-      if (child.existential) ++stats_->existential_terms;
+      if (child.existential) Tally(stats_->existential_terms, 1);
       if (child.descendant) {
-        stats_->descendant_chains +=
-            static_cast<int>(child.chain_end - child.chain_begin);
+        Tally(stats_->descendant_chains,
+              child.chain_end - child.chain_begin);
       }
     }
     double sum = 0.0;        // output semantics
@@ -278,11 +321,11 @@ class CompiledTwig::Executor {
       const Step& s0 = ct_.steps_[chain.step_begin];
       double factor;
       if (s0.covered_dim >= 0 && pv.has_values) {
-        if (stats_ != nullptr) ++stats_->covered_terms;
+        if (stats_ != nullptr) Tally(stats_->covered_terms, 1);
         factor = StepFactor(chain, 0, fz_.means(n, s0.covered_dim)[bucket],
                             /*covered=*/true, child.existential);
       } else {
-        if (stats_ != nullptr) ++stats_->uniformity_terms;
+        if (stats_ != nullptr) Tally(stats_->uniformity_terms, 1);
         factor = StepFactor(chain, 0, s0.avg, /*covered=*/false,
                             child.existential);
       }
@@ -320,7 +363,7 @@ class CompiledTwig::Executor {
   double ChainTerm(const Chain& chain, uint32_t index, bool existential) {
     const Step& st = ct_.steps_[chain.step_begin + index];
     if (st.covered_dim < 0) {
-      if (stats_ != nullptr) ++stats_->uniformity_terms;
+      if (stats_ != nullptr) Tally(stats_->uniformity_terms, 1);
       return StepFactor(chain, index, st.avg, /*covered=*/false,
                         existential);
     }
@@ -347,10 +390,10 @@ class CompiledTwig::Executor {
       case VfSite::Kind::kOne:
         return 1.0;
       case VfSite::Kind::kStatic:
-        if (stats_ != nullptr) ++stats_->value_fractions;
+        if (stats_ != nullptr) Tally(stats_->value_fractions, 1);
         return site.fraction;
       case VfSite::Kind::kDynamic:
-        if (stats_ != nullptr) ++stats_->value_fractions;
+        if (stats_ != nullptr) Tally(stats_->value_fractions, 1);
         return DynamicVf(site);
     }
     return 1.0;  // unreachable

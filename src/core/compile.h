@@ -27,11 +27,18 @@
 //     bit-identity (see the "vector-fast" plan flag below).
 //
 // Execution modes mirror the estimator's:
-//   Execute()          == Estimator::Estimate     (memoized, vector-fast)
-//   ExecuteWithStats() == EstimateWithStats       (faithful counters; the
-//                         memo is off and the per-point recursion is
-//                         replayed exactly, so counters that scale with
-//                         bucket count come out identical)
+//   Execute()          == Estimator::Estimate     (vector-fast)
+//   ExecuteWithStats() == EstimateWithStats       (scalar path; every
+//                         counter equals the reference's per-point replay,
+//                         including those that scale with bucket count)
+// Both modes memoize each plan's value when the sketch has no backward
+// dims: a plan's point sets are then static and its value context-free, so
+// every re-evaluation would repeat the same arithmetic and the same counter
+// increments. Stats mode keeps each plan's six counter deltas beside its
+// value and adds them on every memo hit, so its counters equal the
+// reference replay at plain-execute cost (saturating at INT_MAX, which
+// nested '//' expansions can pass). Backward-dims sketches run with the
+// memo off in both modes, exactly like the reference.
 //
 // Concurrency: a CompiledTwig is immutable after Compile and may be
 // executed from any number of threads, each with its own ExecScratch
@@ -62,7 +69,9 @@ struct ExecScratch {
     double value;
   };
   std::vector<CtxEntry> ctx;        // Correlation Scope conditioning stack
-  std::vector<double> memo_val;     // per-plan memo (plain mode)
+  std::vector<double> memo_val;     // per-plan memo
+  std::vector<EstimateStats> memo_stats;  // stats mode: each memoized
+                                          // plan's counter deltas
   std::vector<uint32_t> memo_epoch;
   uint32_t epoch = 0;
   std::vector<double> inners;       // chain-tail stack (vector-fast phase 1)
@@ -198,8 +207,9 @@ class CompiledTwig {
   std::vector<Chain> chains_;
   std::vector<Step> steps_;
   std::vector<Root> roots_;
-  bool enumerate_all_ = false;  // sketch has backward dims: memo off,
-                                // every histogram node enumerates
+  bool enumerate_all_ = false;  // sketch has backward dims: memo off in
+                                // both modes, every histogram node
+                                // enumerates
   int path_length_cap_ = 0;
 };
 

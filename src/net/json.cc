@@ -1,8 +1,10 @@
 #include "net/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 #include <utility>
 
 #include "util/check.h"
@@ -332,19 +334,11 @@ void AppendJsonNumber(std::string* out, double v) {
     out->append("null");
     return;
   }
+  // Shortest round-trip form, independent of LC_NUMERIC.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prefer the shortest precision that round-trips (matches the metric
-  // registry's formatting, so dashboards see consistent numbers).
-  for (int prec = 1; prec <= 17; ++prec) {
-    char trial[32];
-    std::snprintf(trial, sizeof(trial), "%.*g", prec, v);
-    if (std::strtod(trial, nullptr) == v) {
-      out->append(trial);
-      return;
-    }
-  }
-  out->append(buf);
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  XS_CHECK(r.ec == std::errc());
+  out->append(buf, r.ptr);
 }
 
 }  // namespace xsketch::net

@@ -67,8 +67,10 @@ util::Result<JsonValue> ParseJson(std::string_view text, int max_depth = 32);
 // Appends `s` as a JSON string literal (quotes included) to `out`.
 void AppendJsonString(std::string* out, std::string_view s);
 
-// Formats a double the way the registry's JSON does: shortest
-// round-trippable form, "null" for non-finite values (JSON has no NaN).
+// Formats a double as its shortest round-trip text (std::to_chars: the
+// fewest digits that parse back to the same bits, locale-independent, so
+// 100 renders as "100"), and non-finite values as "null" (JSON has no
+// NaN).
 void AppendJsonNumber(std::string* out, double v);
 
 }  // namespace xsketch::net

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace xsketch::obs {
 
@@ -14,16 +15,12 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 // Round-trippable decimal form for JSON (values must survive parsing
 // bit-exactly, since the trace's whole point is exact reproduction).
 std::string FormatExact(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  return util::FormatDecimal(v, std::chars_format::general, 17);
 }
 
 // Compact form for the human-readable tree.
 std::string FormatShort(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  return util::FormatDecimal(v, std::chars_format::general, 6);
 }
 
 void AppendJsonString(std::string& out, const std::string& s) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "util/format.h"
 
 namespace xsketch::obs {
 
@@ -44,9 +45,10 @@ void AppendHex(std::string& out, const std::string& bytes) {
 }
 
 void AppendMicros(std::string& out, const char* field, double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.3f", field, us);
-  out += buf;
+  out.push_back('"');
+  out += field;
+  out += "\":";
+  out += util::FormatDecimal(us, std::chars_format::fixed, 3);
 }
 
 }  // namespace
@@ -63,9 +65,8 @@ std::string FlightRecord::ToJson() const {
     out += ",\"error\":";
     AppendJsonString(out, error);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"estimate\":%.17g", estimate);
-  out += buf;
+  out += ",\"estimate\":";
+  out += util::FormatDecimal(estimate, std::chars_format::general, 17);
   out += ",\"sketch_generation\":" + std::to_string(sketch_generation);
   out += ",\"stages_us\":{";
   AppendMicros(out, "parse", parse_us);
@@ -87,9 +88,9 @@ std::string FlightRecord::ToJson() const {
     for (size_t i = 0; i < spans.size(); ++i) {
       if (i > 0) out.push_back(',');
       const Span& s = spans[i];
-      std::snprintf(buf, sizeof(buf), "{\"stage\":\"%s\"",
-                    StageName(s.stage));
-      out += buf;
+      out += "{\"stage\":\"";
+      out += StageName(s.stage);
+      out.push_back('"');
       out += ",\"span_id\":" + std::to_string(s.span_id);
       out += ",\"parent_id\":" + std::to_string(s.parent_id);
       out += ",\"start_ns\":" + std::to_string(s.start_ns);

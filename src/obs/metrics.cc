@@ -1,28 +1,29 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace xsketch::obs {
 
 namespace {
 
-// Shortest round-trippable decimal form, matching what dashboards expect
-// from a Prometheus exposition (no trailing zeros, no locale).
+// Shortest round-trippable %g form, matching what dashboards expect from a
+// Prometheus exposition (no trailing zeros, no locale: to_chars and
+// from_chars ignore LC_NUMERIC).
 std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double parsed = 0.0;
   for (int prec = 1; prec <= 16; ++prec) {
-    char trial[32];
-    std::snprintf(trial, sizeof(trial), "%.*g", prec, v);
-    std::sscanf(trial, "%lf", &parsed);
+    std::string trial =
+        util::FormatDecimal(v, std::chars_format::general, prec);
+    double parsed = 0.0;
+    std::from_chars(trial.data(), trial.data() + trial.size(), parsed);
     if (parsed == v) return trial;
   }
-  return buf;
+  return util::FormatDecimal(v, std::chars_format::general, 17);
 }
 
 void AppendJsonString(std::string& out, std::string_view s) {

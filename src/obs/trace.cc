@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/format.h"
 
 namespace xsketch::obs {
 
@@ -211,15 +212,20 @@ std::string Tracer::ToChromeJson(const std::vector<Span>& spans) {
   for (const Span& s : spans) {
     if (!first) out.push_back(',');
     first = false;
+    out += "{\"name\":\"";
+    out += StageName(s.stage);
+    out += "\",\"cat\":\"xsketch\",\"ph\":\"X\",\"ts\":";
+    out += util::FormatDecimal(static_cast<double>(s.start_ns) / 1000.0,
+                               std::chars_format::fixed, 3);
+    out += ",\"dur\":";
+    out += util::FormatDecimal(static_cast<double>(s.dur_ns) / 1000.0,
+                               std::chars_format::fixed, 3);
     std::snprintf(
         buf, sizeof(buf),
-        "{\"name\":\"%s\",\"cat\":\"xsketch\",\"ph\":\"X\","
-        "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
+        ",\"pid\":1,\"tid\":%u,"
         "\"args\":{\"trace_id\":%llu,\"span_id\":%llu,"
         "\"parent_id\":%llu,\"arg\":%llu}}",
-        StageName(s.stage), static_cast<double>(s.start_ns) / 1000.0,
-        static_cast<double>(s.dur_ns) / 1000.0, s.tid,
-        static_cast<unsigned long long>(s.trace_id),
+        s.tid, static_cast<unsigned long long>(s.trace_id),
         static_cast<unsigned long long>(s.span_id),
         static_cast<unsigned long long>(s.parent_id),
         static_cast<unsigned long long>(s.arg));

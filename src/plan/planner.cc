@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <limits>
 #include <unordered_map>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace xsketch::plan {
 
@@ -19,9 +19,7 @@ using query::Axis;
 using query::TwigQuery;
 
 std::string FormatRows(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  return util::FormatDecimal(v, std::chars_format::general, 6);
 }
 
 }  // namespace

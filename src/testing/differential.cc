@@ -445,8 +445,8 @@ void CheckDocument(const DifferentialOptions& options, DocShape shape,
   report->pairs += (only_query >= 0) ? 1 : static_cast<int>(queries.size());
 
   // 4-bucket histograms instead of the default 8: bucket count is the
-  // base of the un-memoized stats-path cost along '//' chains (see
-  // DifferentialOptions), and consistency invariants don't care about
+  // base of the reference's un-memoized stats-path cost along '//' chains
+  // (see DifferentialOptions), and consistency invariants don't care about
   // histogram resolution. Exactness on stable documents is unaffected —
   // their per-tag count distributions are single-valued at any budget.
   core::CoarsestOptions copts;

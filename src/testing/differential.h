@@ -61,9 +61,10 @@ struct DifferentialOptions {
   // Caps on '//' expansion (alternatives per step, synopsis path length),
   // applied identically to every estimation path (direct, batch, XBUILD
   // scoring) so bit-identity checks compare like with like. Kept well
-  // below the production defaults: the stats/trace/batch estimation paths
-  // run un-memoized (that is what keeps their arithmetic bit-identical to
-  // the plain path), so their cost multiplies per histogram bucket along
+  // below the production defaults: the reference estimator's stats/trace
+  // paths run un-memoized (that is what keeps their arithmetic
+  // bit-identical to the plain path), as does every path on sketches with
+  // backward dims, so their cost multiplies per histogram bucket along
   // every '//' chain and squares when '//' steps nest — some seeds take
   // minutes at the defaults on cyclic (recursive-shape) synopses. The
   // harness checks consistency, not estimation quality, so small caps

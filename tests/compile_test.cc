@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "query/workload.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
+#include "testing/doc_generator.h"
 #include "xsketch_api.h"
 
 namespace xsketch::core {
@@ -111,30 +114,204 @@ TEST(FrozenSynopsisTest, StaticProbsMatchUnconditionedHistogram) {
 
 // --- CompiledTwig bit-identity -------------------------------------------
 
+// Estimate bits and all six counters.
+void ExpectSameStats(const EstimateStats& got, const EstimateStats& want,
+                     const std::string& what) {
+  EXPECT_TRUE(BitEqual(got.estimate, want.estimate))
+      << what << ": " << got.estimate << " vs " << want.estimate;
+  EXPECT_EQ(got.covered_terms, want.covered_terms) << what;
+  EXPECT_EQ(got.uniformity_terms, want.uniformity_terms) << what;
+  EXPECT_EQ(got.conditioned_nodes, want.conditioned_nodes) << what;
+  EXPECT_EQ(got.value_fractions, want.value_fractions) << what;
+  EXPECT_EQ(got.existential_terms, want.existential_terms) << what;
+  EXPECT_EQ(got.descendant_chains, want.descendant_chains) << what;
+}
+
+// Compiles each of `queries` and checks plain and stats execution against
+// the reference estimator: Estimate bits, and EstimateWithStats bits plus
+// every counter. Returns the largest descendant_chains count seen.
+int ExpectMatchesReference(const TwigXSketch& sketch,
+                           const EstimatorOptions& options,
+                           const std::vector<query::TwigQuery>& queries) {
+  const Estimator estimator(sketch, options);
+  const TwigCompiler compiler(std::make_shared<const FrozenSynopsis>(sketch),
+                              options);
+  int max_chains = 0;
+  for (const auto& q : queries) {
+    const std::string what = q.ToString(sketch.doc().tags());
+    auto plan = compiler.Compile(q);
+    EXPECT_TRUE(plan.ok()) << what << ": " << plan.status().ToString();
+    if (!plan.ok()) continue;
+    EXPECT_TRUE(BitEqual(plan.value()->Execute(), estimator.Estimate(q)))
+        << what;
+    const EstimateStats want = estimator.EstimateWithStats(q);
+    ExpectSameStats(plan.value()->ExecuteWithStats(), want, what);
+    max_chains = std::max(max_chains, want.descendant_chains);
+  }
+  return max_chains;
+}
+
+std::vector<query::TwigQuery> ParseAll(const xml::Document& doc,
+                                       std::span<const std::string> paths) {
+  std::vector<query::TwigQuery> out;
+  for (const std::string& p : paths) {
+    auto q = query::ParsePath(p, doc.tags());
+    EXPECT_TRUE(q.ok()) << p << ": " << q.status().ToString();
+    if (q.ok()) out.push_back(std::move(q).value());
+  }
+  return out;
+}
+
 TEST(CompiledTwigTest, BitIdenticalToEstimator) {
   xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
-  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  const Estimator estimator(sketch);
-  const auto frozen = std::make_shared<const FrozenSynopsis>(sketch);
-  const TwigCompiler compiler(frozen);
-
   const auto queries = XMarkWorkload(doc, 60);
   ASSERT_FALSE(queries.empty());
+  ExpectMatchesReference(TwigXSketch::Coarsest(doc), {}, queries);
+}
+
+// Stats mode memoizes plans (and their counter deltas) on sketches without
+// backward dims. These twigs reach inner plans from many histogram points
+// and many '//' alternatives, so most of their counters come from memo
+// hits; each must still equal the reference's full replay.
+TEST(CompiledTwigTest, StatsMemoMatchesReplayOnNestedDescendants) {
+  const xml::Document doc = xsketch::testing::GenerateRandomDocument(
+      xsketch::testing::ShapePreset(xsketch::testing::DocShape::kRecursive,
+                                    7));
+  const TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  ASSERT_FALSE(sketch.HasBackwardDims());
+  // Few '//' alternatives keep the reference's un-memoized replay fast.
+  EstimatorOptions options;
+  options.max_descendant_paths = 8;
+
+  std::vector<std::string> paths;
+  const size_t tags = std::min<size_t>(doc.tag_count(), 5);
+  for (size_t a = 0; a < tags; ++a) {
+    for (size_t b = 0; b < tags; ++b) {
+      const std::string ab =
+          "//" + doc.tags().Get(a) + "//" + doc.tags().Get(b);
+      paths.push_back(ab);
+      for (size_t c = 0; c < tags; ++c) {
+        paths.push_back(ab + "//" + doc.tags().Get(c));
+      }
+    }
+  }
+  const int max_chains =
+      ExpectMatchesReference(sketch, options, ParseAll(doc, paths));
+  // Inner '//' children are revisited: one query alone counts more
+  // alternatives than the whole expansion holds.
+  EXPECT_GT(max_chains, options.max_descendant_paths * 3);
+}
+
+TEST(CompiledTwigTest, StatsMemoMatchesReplayOnBranchesUnderCoveredSteps) {
+  xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
+  CoarsestOptions copts;
+  copts.max_initial_dims = 3;  // histograms cover several child edges
+  const TwigXSketch sketch = TwigXSketch::Coarsest(doc, copts);
+  ASSERT_FALSE(sketch.HasBackwardDims());
+  const std::string paths[] = {
+      "//open_auction[bidder/increase][seller]/annotation//text",
+      "//open_auction[bidder][initial]/bidder/increase",
+      "//person[profile/interest][watches/watch]/address/city",
+      "//person[address][phone]/profile[education]/interest",
+      "//item[mailbox/mail/text]/description//listitem//text",
+      "//item[location][quantity]/incategory",
+      "//closed_auction[annotation//listitem][price]/buyer",
+  };
+  ExpectMatchesReference(sketch, {}, ParseAll(doc, paths));
+}
+
+// Nested '//' over XMark's parlist/listitem recursion: the reference
+// replay needs minutes and overflows its int counters; the memoized stats
+// path answers at once, with counters pinned at INT_MAX.
+TEST(CompiledTwigTest, StatsCountersSaturateInsteadOfOverflowing) {
+  xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
+  const TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  const TwigCompiler compiler(std::make_shared<const FrozenSynopsis>(sketch));
+  auto q = query::ParsePath("//site//parlist//listitem//parlist//text",
+                            doc.tags());
+  ASSERT_TRUE(q.ok());
+  auto plan = compiler.Compile(q.value());
+  ASSERT_TRUE(plan.ok());
+  const EstimateStats stats = plan.value()->ExecuteWithStats();
+  EXPECT_TRUE(BitEqual(stats.estimate, plan.value()->Execute()));
+  EXPECT_EQ(stats.uniformity_terms, std::numeric_limits<int>::max());
+}
+
+// With backward dims a plan's value depends on the context its ancestors
+// pushed, so both modes keep the memo off and replay like the reference.
+TEST(CompiledTwigTest, BackwardDimsStatsMatchReferenceWithMemoOff) {
+  const xml::Document doc = data::MakeBibliography();
+  CoarsestOptions copts;
+  copts.initial_buckets = 16;
+  copts.max_initial_dims = 3;
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc, copts);
+  const Synopsis& syn = sketch.synopsis();
+  const SynNodeId a = syn.NodesWithTag(doc.LookupTag("author"))[0];
+  const SynNodeId b = syn.NodesWithTag(doc.LookupTag("book"))[0];
+  const SynNodeId p = syn.NodesWithTag(doc.LookupTag("paper"))[0];
+  ASSERT_TRUE(sketch.ExpandScope(a, CountRef{true, a, b}));
+  // The paper histogram conditions on its author's paper count.
+  ASSERT_TRUE(sketch.ExpandScope(p, CountRef{false, a, p}));
+  ASSERT_TRUE(sketch.HasBackwardDims());
+
+  std::vector<query::TwigQuery> queries = ParseAll(
+      doc, std::vector<std::string>{"//author/paper/keyword",
+                                    "//author[book]/paper[year]/keyword",
+                                    "//bib//author//keyword",
+                                    "//author[name]/paper[keyword]/year"});
+  auto twig = query::ParseForClause(
+      "for t0 in //author, t1 in t0/book, t2 in t0/name, t3 in t0/paper, "
+      "t4 in t3/keyword, t5 in t3/year",
+      doc.tags());
+  ASSERT_TRUE(twig.ok());
+  queries.push_back(std::move(twig).value());
+  ExpectMatchesReference(sketch, {}, queries);
+
+  // A context-free memo would reuse the first author bucket's conditioning
+  // for every bucket; the replay reads each one and lands on the exact
+  // count (paper §4).
+  const TwigCompiler compiler(std::make_shared<const FrozenSynopsis>(sketch));
+  auto plan = compiler.Compile(queries.back());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NEAR(plan.value()->ExecuteWithStats().estimate, 1.0, 1e-6);
+}
+
+// One scratch serves both modes over programs of different sizes: the
+// memo epoch must keep every run's values and counter deltas private.
+TEST(CompiledTwigTest, SharedScratchAcrossModesMatchesFreshScratch) {
+  xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
+  const TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  const TwigCompiler compiler(std::make_shared<const FrozenSynopsis>(sketch));
+
+  std::vector<query::TwigQuery> queries = XMarkWorkload(doc, 12);
+  for (query::TwigQuery& q : ParseAll(
+           doc, std::vector<std::string>{"//site//parlist//listitem//text",
+                                         "//item//text", "//person"})) {
+    queries.push_back(std::move(q));
+  }
+  std::vector<std::shared_ptr<const CompiledTwig>> plans;
   for (const auto& q : queries) {
     auto plan = compiler.Compile(q);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    const double expected = estimator.Estimate(q);
-    EXPECT_TRUE(BitEqual(plan.value()->Execute(), expected));
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(std::move(plan).value());
+  }
 
-    const EstimateStats want = estimator.EstimateWithStats(q);
-    const EstimateStats got = plan.value()->ExecuteWithStats();
-    EXPECT_TRUE(BitEqual(got.estimate, want.estimate));
-    EXPECT_EQ(got.covered_terms, want.covered_terms);
-    EXPECT_EQ(got.uniformity_terms, want.uniformity_terms);
-    EXPECT_EQ(got.conditioned_nodes, want.conditioned_nodes);
-    EXPECT_EQ(got.value_fractions, want.value_fractions);
-    EXPECT_EQ(got.existential_terms, want.existential_terms);
-    EXPECT_EQ(got.descendant_chains, want.descendant_chains);
+  ExecScratch shared;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < plans.size(); ++i) {
+      const CompiledTwig& plan = *plans[i];
+      const std::string what = queries[i].ToString(doc.tags()) +
+                               " round " + std::to_string(round);
+      ExecScratch fresh;
+      // Execute, ExecuteWithStats, Execute, ... rotating over programs.
+      if ((i + round) % 3 == 1) {
+        const EstimateStats want = plan.ExecuteWithStats(fresh);
+        ExpectSameStats(plan.ExecuteWithStats(shared), want, what);
+      } else {
+        EXPECT_TRUE(BitEqual(plan.Execute(shared), plan.Execute(fresh)))
+            << what;
+      }
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -154,12 +155,17 @@ class BinaryClient {
 class DaemonTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // One shared sketch file for the whole suite.
+    // One shared sketch file for the whole suite, named per process: ctest
+    // runs each case as its own process, and rewriting a file another
+    // process has mapped kills that process with SIGBUS.
     xml::Document doc = data::MakeBibliography();
     const core::FrozenSynopsis frozen(core::TwigXSketch::Coarsest(doc));
-    sketch_path_ = new std::string(TempPath("daemon_test.xsk3"));
+    sketch_path_ = new std::string(
+        TempPath("daemon_test." + std::to_string(::getpid()) + ".xsk3"));
     ASSERT_TRUE(core::SaveFrozenToFile(frozen, *sketch_path_).ok());
   }
+
+  static void TearDownTestSuite() { std::remove(sketch_path_->c_str()); }
 
   void TearDown() override {
     StopDaemon();

@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -82,6 +89,71 @@ TEST(JsonTest, WriterEscapesAndRoundTrips) {
   out.clear();
   AppendJsonNumber(&out, std::nan(""));
   EXPECT_EQ(out, "null");  // JSON has no NaN
+}
+
+// The number writer AppendJsonNumber replaced: the shortest of
+// printf("%.<p>g") for p = 1..17 that strtod reads back exactly.
+std::string SeventeenPrecisionLoop(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  for (int prec = 1; prec <= 17; ++prec) {
+    char trial[32];
+    std::snprintf(trial, sizeof(trial), "%.*g", prec, v);
+    if (std::strtod(trial, nullptr) == v) return trial;
+  }
+  return buf;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(JsonTest, NumbersRoundTripBitExactInShortestText) {
+  std::vector<double> values = {
+      -0.0,
+      0.0,
+      5e-324,  // smallest subnormal
+      std::numeric_limits<double>::min(),
+      DBL_MAX,
+      -DBL_MAX,
+      9007199254740993.0,  // 2^53 + 1, rounds to 2^53
+      1e21,
+      1e-7,
+      100.0,
+      0.1,
+      2700.0,
+  };
+  // Seeded sweep over raw bit patterns: every exponent and mantissa shape.
+  std::mt19937_64 rng(20240611);
+  while (values.size() < 20000) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (const double v : values) {
+    std::string out;
+    AppendJsonNumber(&out, v);
+    auto back = ParseJson(out);
+    ASSERT_TRUE(back.ok()) << out << ": " << back.status().ToString();
+    ASSERT_EQ(back.value().kind(), JsonValue::Kind::kNumber) << out;
+    EXPECT_EQ(Bits(back.value().number_value()), Bits(v)) << out;
+    EXPECT_LE(out.size(), SeventeenPrecisionLoop(v).size()) << out;
+  }
+}
+
+TEST(JsonTest, NonFiniteNumbersRenderNull) {
+  for (const double v : {std::nan(""), -std::nan(""),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::string out;
+    AppendJsonNumber(&out, v);
+    EXPECT_EQ(out, "null");
+  }
+}
+
+TEST(JsonTest, IntegralNumbersRenderWithoutExponent) {
+  // The precision loop wrote 100 as "1e+02"; shortest round-trip is "100".
+  EXPECT_EQ(SeventeenPrecisionLoop(100.0), "1e+02");
+  std::string out;
+  AppendJsonNumber(&out, 100.0);
+  EXPECT_EQ(out, "100");
 }
 
 // --- HTTP ----------------------------------------------------------------

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <clocale>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -18,7 +20,9 @@
 #include "data/figures.h"
 #include "data/xmark.h"
 #include "obs/explain.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "query/evaluator.h"
 #include "query/workload.h"
 #include "query/xpath_parser.h"
@@ -147,6 +151,62 @@ TEST(MetricsTest, PrometheusExpositionGoldenLayout) {
       "# TYPE size_bytes gauge\n"
       "size_bytes 17\n";
   EXPECT_EQ(reg.ToPrometheusText(), golden);
+}
+
+// Switches LC_NUMERIC to an installed comma-decimal locale for the
+// object's lifetime; ok() is false when none is installed.
+class CommaDecimalLocale {
+ public:
+  CommaDecimalLocale() : saved_(std::setlocale(LC_NUMERIC, nullptr)) {
+    for (const char* name :
+         {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
+          "fr_FR", "nl_NL.UTF-8", "es_ES.UTF-8", "ru_RU.UTF-8"}) {
+      if (std::setlocale(LC_NUMERIC, name) != nullptr &&
+          std::string(std::localeconv()->decimal_point) == ",") {
+        ok_ = true;
+        return;
+      }
+    }
+    std::setlocale(LC_NUMERIC, saved_.c_str());
+  }
+  ~CommaDecimalLocale() { std::setlocale(LC_NUMERIC, saved_.c_str()); }
+  bool ok() const { return ok_; }
+
+ private:
+  std::string saved_;
+  bool ok_ = false;
+};
+
+TEST(LocaleTest, NumberTextIgnoresCommaDecimalLocale) {
+  // /metrics, flight records, explain traces and Chrome traces are read
+  // by machines: a host program's setlocale must not turn 0.5 into 0,5.
+  obs::MetricsRegistry reg;
+  reg.GetGauge("ratio").Set(0.5);
+  reg.GetHistogram("lat", {0.25, 2.5}).Observe(1.5, /*trace_id=*/7);
+  obs::FlightRecord rec;
+  rec.estimate = 0.5;
+  rec.total_us = 1.25;
+  obs::ExplainTrace trace;
+  trace.Open(obs::ExplainOp::kProduct, "query", "q");
+  trace.Leaf("p", "bucket probability", 0.5);
+  trace.Close(0.5);
+  obs::Span span;
+  span.start_ns = 1500;
+  span.dur_ns = 250;
+  const auto render = [&] {
+    return reg.ToPrometheusText() + reg.ToJson() + rec.ToJson() +
+           trace.ToJson() + trace.ToText() + obs::Tracer::ToChromeJson({span});
+  };
+  const std::string c_text = render();
+  EXPECT_NE(c_text.find("ratio 0.5\n"), std::string::npos);
+  EXPECT_NE(c_text.find("\"ts\":1.500,\"dur\":0.250"), std::string::npos);
+
+  CommaDecimalLocale comma;
+  if (!comma.ok()) GTEST_SKIP() << "no comma-decimal locale installed";
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%.1f", 0.5);
+  ASSERT_STREQ(buf, "0,5");  // printf does follow the switched locale
+  EXPECT_EQ(render(), c_text);
 }
 
 TEST(MetricsTest, GaugeAddSub) {
