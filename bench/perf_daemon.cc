@@ -21,6 +21,9 @@
 // XS_BENCH_DAEMON_REQUESTS (per client, default 40).
 //
 // --smoke: tiny document, few requests — asserts the gates and exits.
+// The tiny document answers in microseconds, so the smoke's saturation
+// phase arms the daemon.slow_handler faultpoint with a small delay: the
+// two workers become the bottleneck and the queue provably fills.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -42,6 +45,7 @@
 #include "core/frozen_io.h"
 #include "daemon/daemon.h"
 #include "net/wire.h"
+#include "testing/faultpoints.h"
 #include "util/percentiles.h"
 
 namespace {
@@ -222,7 +226,15 @@ int main(int argc, char** argv) {
   const double probe_p99 = util::Percentile(probe.accepted_ms, 0.99);
 
   // Phase 2: 2x the daemon's total capacity (running + queued) in
-  // closed-loop clients.
+  // closed-loop clients. In the smoke, 160 requests at 2 ms each keep two
+  // workers busy for 160 ms, far longer than 20 clients take to connect,
+  // so more than 10 requests are outstanding at once and some are shed.
+  // Queue wait stays near 5 x 2 ms, well inside the p99 bound below.
+  if (smoke) {
+    testing::FaultPoints::Config slow;
+    slow.delay_ms = 2;
+    testing::FaultPoints::Default().Arm("daemon.slow_handler", slow);
+  }
   const int clients = 2 * static_cast<int>(kWorkers + kQueueLimit);
   std::vector<ClientResult> results(clients);
   std::vector<std::thread> threads;
@@ -233,6 +245,7 @@ int main(int argc, char** argv) {
     });
   }
   for (auto& t : threads) t.join();
+  testing::FaultPoints::Default().Disarm("daemon.slow_handler");
 
   std::vector<double> accepted;
   int shed = 0, transport = 0;

@@ -317,6 +317,13 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
     std::optional<TwigXSketch> trial;
   };
 
+  // Sample-workload error of the current sketch: computed once for the
+  // coarsest sketch, then carried over from each accepted trial's score.
+  double sketch_error =
+      options_.score_candidates
+          ? WorkloadError(sketch, sample, options_.estimator)
+          : 0.0;
+
   int stall = 0;
   uint64_t iteration_no = 0;
   while (sketch.SizeBytes() < options_.budget_bytes && stall < 15) {
@@ -351,7 +358,6 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
     }
 
     const Clock::time_point scoring_start = Clock::now();
-    double error_before = 0.0;
     std::vector<Scored> scored(candidates.size());
     auto score_one = [&](size_t i) {
       TwigXSketch trial = sketch;
@@ -366,15 +372,11 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
     };
     if (workers) {
       util::TaskGroup group(workers.get());
-      group.Submit([&] {
-        error_before = WorkloadError(sketch, sample, options_.estimator);
-      });
       for (size_t i = 0; i < candidates.size(); ++i) {
         group.Submit([&, i] { score_one(i); });
       }
       group.Wait();
     } else {
-      error_before = WorkloadError(sketch, sample, options_.estimator);
       for (size_t i = 0; i < candidates.size(); ++i) score_one(i);
     }
     scoring_ms.push_back(MillisSince(scoring_start));
@@ -388,7 +390,7 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
       ++agg.candidates_applicable;
       ++agg.candidates_scored;
       const double gain =
-          (error_before - scored[i].error_after) /
+          (sketch_error - scored[i].error_after) /
           static_cast<double>(scored[i].size_after - size_before);
       if (best_i < 0 || gain > best_gain) {
         best_gain = gain;
@@ -400,7 +402,9 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
       continue;
     }
     stall = 0;
-    sketch = std::move(*scored[static_cast<size_t>(best_i)].trial);
+    Scored& best = scored[static_cast<size_t>(best_i)];
+    sketch = std::move(*best.trial);
+    sketch_error = best.error_after;
     ++agg.iterations;
     ++agg.accepted_by_kind[static_cast<size_t>(
         candidates[static_cast<size_t>(best_i)].kind)];
@@ -416,10 +420,7 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
     agg.scoring_p95_ms = util::Percentile(scoring_ms, 0.95);
     agg.wall_ms = MillisSince(build_start);
     agg.final_size_bytes = sketch.SizeBytes();
-    agg.final_error =
-        options_.score_candidates
-            ? WorkloadError(sketch, sample, options_.estimator)
-            : 0.0;
+    agg.final_error = sketch_error;
     m_final_error.Set(agg.final_error);
     *stats = agg;
   }

@@ -1,7 +1,6 @@
 #include "core/synopsis.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -61,43 +60,66 @@ Synopsis Synopsis::FromPartition(const xml::Document& doc,
   return s;
 }
 
+// Flat per-node arrays indexed by the child node: the slot of its edge in
+// the out-edge list being derived (kNoSlot when absent) and the last parent
+// element counted for that edge. Every slot is kNoSlot between derivations.
+struct Synopsis::EdgeScratch {
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  explicit EdgeScratch(size_t node_count)
+      : slot(node_count, kNoSlot), last_parent(node_count) {}
+
+  std::vector<uint32_t> slot;
+  std::vector<xml::NodeId> last_parent;
+};
+
 void Synopsis::RebuildEdges() {
-  for (SynNode& n : nodes_) {
-    n.children.clear();
-    n.parents.clear();
-  }
-  // Pass 1: per (u, v) child counts; per (u, v) distinct-parent counts.
-  // Iterate parents so each parent's children are grouped.
-  std::unordered_map<uint64_t, SynEdge> edges;  // key = (u << 32) | v
+  EdgeScratch scratch(nodes_.size());
+  for (SynNodeId u = 0; u < nodes_.size(); ++u) DeriveOutEdges(u, &scratch);
+  FinishEdges();
+}
+
+void Synopsis::DeriveOutEdges(SynNodeId u, EdgeScratch* scratch) {
+  std::vector<SynEdge>& out = nodes_[u].children;
+  out.clear();
   const xml::Document& doc = *doc_;
-  std::unordered_set<uint64_t> seen_parent_edge;
-  for (xml::NodeId e = 0; e < doc.size(); ++e) {
-    const xml::NodeId parent = doc.parent(e);
-    if (parent == xml::kInvalidNode) continue;
-    const SynNodeId u = partition_[parent];
-    const SynNodeId v = partition_[e];
-    const uint64_t key = (static_cast<uint64_t>(u) << 32) | v;
-    SynEdge& edge = edges[key];
-    edge.child = v;
-    ++edge.child_count;
-    const uint64_t pkey = (static_cast<uint64_t>(parent) << 32) | v;
-    if (seen_parent_edge.insert(pkey).second) ++edge.parent_count;
+  for (xml::NodeId p : extents_[u]) {
+    doc.ForEachChild(p, [&](xml::NodeId c) {
+      const SynNodeId v = partition_[c];
+      uint32_t& slot = scratch->slot[v];
+      if (slot == EdgeScratch::kNoSlot) {
+        slot = static_cast<uint32_t>(out.size());
+        out.push_back(SynEdge{.child = v});
+        scratch->last_parent[v] = xml::kInvalidNode;
+      }
+      SynEdge& edge = out[slot];
+      ++edge.child_count;
+      // Children of one parent are visited together, so a changed stamp
+      // means a new distinct parent for this edge.
+      if (scratch->last_parent[v] != p) {
+        scratch->last_parent[v] = p;
+        ++edge.parent_count;
+      }
+    });
   }
-  for (auto& [key, edge] : edges) {
-    const SynNodeId u = static_cast<SynNodeId>(key >> 32);
-    const SynNodeId v = edge.child;
-    edge.backward_stable = (edge.child_count == nodes_[v].count);
-    edge.forward_stable = (edge.parent_count == nodes_[u].count);
-    nodes_[u].children.push_back(edge);
-    nodes_[v].parents.push_back(u);
+  for (const SynEdge& edge : out) {
+    scratch->slot[edge.child] = EdgeScratch::kNoSlot;
   }
   // Deterministic order helps reproducibility.
-  for (SynNode& n : nodes_) {
-    std::sort(n.children.begin(), n.children.end(),
-              [](const SynEdge& a, const SynEdge& b) {
-                return a.child < b.child;
-              });
-    std::sort(n.parents.begin(), n.parents.end());
+  std::sort(out.begin(), out.end(), [](const SynEdge& a, const SynEdge& b) {
+    return a.child < b.child;
+  });
+}
+
+void Synopsis::FinishEdges() {
+  for (SynNode& n : nodes_) n.parents.clear();
+  // Ascending u keeps every parents list sorted.
+  for (SynNodeId u = 0; u < nodes_.size(); ++u) {
+    for (SynEdge& edge : nodes_[u].children) {
+      edge.backward_stable = (edge.child_count == nodes_[edge.child].count);
+      edge.forward_stable = (edge.parent_count == nodes_[u].count);
+      nodes_[edge.child].parents.push_back(u);
+    }
   }
 }
 
@@ -125,7 +147,15 @@ SynNodeId Synopsis::SplitNode(SynNodeId v,
                               const std::vector<xml::NodeId>& subset) {
   XS_CHECK(!subset.empty());
   XS_CHECK(subset.size() < extents_[v].size());
+  // Moving elements out of v changes the out-edges of v, of the fresh node
+  // and of every node with a child in v (its edge to v may now point to
+  // either half). Every other node keeps its extent and its children's
+  // nodes, so its edges stay as they are. When v is its own parent it is
+  // already on the list.
+  std::vector<SynNodeId> dirty = nodes_[v].parents;
+  if (!std::binary_search(dirty.begin(), dirty.end(), v)) dirty.push_back(v);
   const SynNodeId fresh = static_cast<SynNodeId>(nodes_.size());
+  dirty.push_back(fresh);
   SynNode nn;
   nn.tag = nodes_[v].tag;
   nodes_.push_back(nn);
@@ -147,8 +177,10 @@ SynNodeId Synopsis::SplitNode(SynNodeId v,
   nodes_[v].count = extents_[v].size();
   nodes_[fresh].count = extents_[fresh].size();
 
-  RebuildEdges();
-  RebuildTagIndex();
+  EdgeScratch scratch(nodes_.size());
+  for (SynNodeId u : dirty) DeriveOutEdges(u, &scratch);
+  FinishEdges();
+  by_tag_[nodes_[fresh].tag].push_back(fresh);  // the largest id goes last
   return fresh;
 }
 

@@ -81,7 +81,9 @@ class Synopsis {
 
   // Splits node `v`: elements in `subset` move to a brand-new node (whose
   // id is returned); the rest stay in `v`. `subset` must be a non-empty
-  // proper subset of Extent(v). Edges and stabilities are recomputed.
+  // proper subset of Extent(v). Only the out-edges of `v`, the new node
+  // and `v`'s parents can change, so only those are re-derived; the cost
+  // follows their extents, not the document size.
   SynNodeId SplitNode(SynNodeId v, const std::vector<xml::NodeId>& subset);
 
   // Twig stable neighborhood of n (paper §3.2): all nodes that reach n via
@@ -103,8 +105,17 @@ class Synopsis {
  private:
   Synopsis() = default;
 
+  // Per-node scratch for DeriveOutEdges (defined in synopsis.cc).
+  struct EdgeScratch;
+
   // Recomputes all edges, counts and stabilities from the partition.
   void RebuildEdges();
+  // Recomputes u's out-edges and their child/parent counts from u's
+  // extent, sorted by child. Leaves flags and parents lists to FinishEdges.
+  void DeriveOutEdges(SynNodeId u, EdgeScratch* scratch);
+  // Sets both stability flags on every edge and rebuilds every node's
+  // sorted parents list: O(nodes + edges).
+  void FinishEdges();
   void RebuildTagIndex();
 
   const xml::Document* doc_ = nullptr;

@@ -209,8 +209,12 @@ void Server::Run() {
     for (auto& [id, conn] : conns_) {
       short events = 0;
       // While a request is in flight (or we are draining) stop reading:
-      // back-pressure the socket instead of buffering unbounded input.
-      if (!conn.in_flight && !conn.want_close && !draining) events |= POLLIN;
+      // back-pressure the socket instead of buffering unbounded input. A
+      // failed connection keeps reading to discard what the client sends.
+      if (conn.linger_since_ms >= 0 ||
+          (!conn.in_flight && !conn.want_close && !draining)) {
+        events |= POLLIN;
+      }
       if (conn.woff < conn.wbuf.size()) events |= POLLOUT;
       pfds.push_back({conn.fd, events, 0});
       pfd_ids.push_back(id);
@@ -328,40 +332,50 @@ void Server::ReadReady(Conn& conn, int64_t now_ms) {
       CloseConn(conn.id);
       return;
     }
-    conn.rbuf.append(buf, static_cast<size_t>(n));
-    conn.last_read_ms = now_ms;
-    // Hard backstop on buffered input: the protocol parsers enforce
-    // their own limits, but only once they can see a full header.
-    const size_t cap =
-        options_.max_request_bytes + options_.max_header_bytes + 4096;
-    if (conn.rbuf.size() > cap) {
-      FailConn(conn, 413, NackCode::kBadRequest, "request too large");
-      return;
+    if (conn.linger_since_ms < 0) {
+      conn.rbuf.append(buf, static_cast<size_t>(n));
+      conn.last_read_ms = now_ms;
+      // Hard backstop on buffered input: the protocol parsers enforce
+      // their own limits, but only once they can see a full header.
+      const size_t cap =
+          options_.max_request_bytes + options_.max_header_bytes + 4096;
+      if (conn.rbuf.size() > cap) {
+        // Answer in the client's protocol: a first read can overflow the
+        // cap before ParseAndDispatch has looked at the preface.
+        DetectProto(conn);
+        FailConn(conn, 413, NackCode::kBadRequest, "request too large");
+        return;
+      }
     }
     if (static_cast<size_t>(n) < sizeof(buf)) break;
   }
-  ParseAndDispatch(conn, now_ms);
+  if (conn.linger_since_ms < 0) ParseAndDispatch(conn, now_ms);
+}
+
+bool Server::DetectProto(Conn& conn) {
+  if (conn.proto != Conn::Proto::kUnknown) return true;
+  if (conn.rbuf.size() >= kWirePreface.size()) {
+    if (std::string_view(conn.rbuf).substr(0, kWirePreface.size()) ==
+        kWirePreface) {
+      conn.proto = Conn::Proto::kBinary;
+      conn.rbuf.erase(0, kWirePreface.size());
+    } else {
+      conn.proto = Conn::Proto::kHttp;
+    }
+    return true;
+  }
+  if (!kWirePreface.starts_with(conn.rbuf)) {
+    // Too short for the preface but already not a prefix of it: must be
+    // HTTP (e.g. "GET" diverges at the first byte).
+    conn.proto = Conn::Proto::kHttp;
+    return true;
+  }
+  return false;  // need more bytes to decide
 }
 
 void Server::ParseAndDispatch(Conn& conn, int64_t now_ms) {
   while (!conn.in_flight && !conn.want_close) {
-    if (conn.proto == Conn::Proto::kUnknown) {
-      if (conn.rbuf.size() >= kWirePreface.size()) {
-        if (std::string_view(conn.rbuf).substr(0, kWirePreface.size()) ==
-            kWirePreface) {
-          conn.proto = Conn::Proto::kBinary;
-          conn.rbuf.erase(0, kWirePreface.size());
-        } else {
-          conn.proto = Conn::Proto::kHttp;
-        }
-      } else if (!kWirePreface.starts_with(conn.rbuf)) {
-        // Too short for the preface but already not a prefix of it:
-        // must be HTTP (e.g. "GET" diverges at the first byte).
-        conn.proto = Conn::Proto::kHttp;
-      } else {
-        return;  // need more bytes to decide
-      }
-    }
+    if (!DetectProto(conn)) return;
 
     if (conn.proto == Conn::Proto::kHttp) {
       HttpLimits limits;
@@ -414,8 +428,13 @@ void Server::FailConn(Conn& conn, int http_status, NackCode code,
     conn.wbuf += SerializeHttpResponse(http_status, "application/json", body,
                                        /*keep_alive=*/false);
   }
+  // The rest of the failed request may still be in flight. Closing with
+  // it unread would reset the connection, and the client could lose the
+  // error or fail its send; linger instead (WriteReady, SweepTimeouts).
   conn.want_close = true;
-  WriteReady(conn, NowMs());
+  conn.linger_since_ms = NowMs();
+  conn.rbuf.clear();
+  WriteReady(conn, conn.linger_since_ms);
 }
 
 void Server::WriteReady(Conn& conn, int64_t now_ms) {
@@ -436,7 +455,14 @@ void Server::WriteReady(Conn& conn, int64_t now_ms) {
   }
   conn.wbuf.clear();
   conn.woff = 0;
-  if (conn.want_close) CloseConn(conn.id);
+  if (!conn.want_close) return;
+  if (conn.linger_since_ms < 0) {
+    CloseConn(conn.id);
+    return;
+  }
+  // The error is flushed: send FIN so the client reads it and then EOF,
+  // and keep discarding its input until it closes.
+  ::shutdown(conn.fd, SHUT_WR);
 }
 
 void Server::ProcessCompletions() {
@@ -474,13 +500,21 @@ void Server::ProcessCompletions() {
 void Server::SweepTimeouts(int64_t now_ms) {
   std::vector<uint64_t> evict;
   std::vector<uint64_t> fail_read;
+  std::vector<uint64_t> linger_done;
   for (auto& [id, conn] : conns_) {
     const bool mid_request = !conn.rbuf.empty() && !conn.in_flight;
     const bool writing = conn.woff < conn.wbuf.size();
     const bool idle = conn.rbuf.empty() && !conn.in_flight && !writing;
-    if (writing &&
-        now_ms - conn.last_write_ms >=
-            static_cast<int64_t>(options_.write_timeout_ms)) {
+    if (conn.linger_since_ms >= 0 && !writing) {
+      // A flushed error reply: the client has had read_timeout_ms to
+      // finish sending and close.
+      if (now_ms - conn.linger_since_ms >=
+          static_cast<int64_t>(options_.read_timeout_ms)) {
+        linger_done.push_back(id);
+      }
+    } else if (writing &&
+               now_ms - conn.last_write_ms >=
+                   static_cast<int64_t>(options_.write_timeout_ms)) {
       evict.push_back(id);  // stalled reader: no polite goodbye possible
     } else if (mid_request &&
                now_ms - conn.last_read_ms >=
@@ -496,6 +530,7 @@ void Server::SweepTimeouts(int64_t now_ms) {
     evicted_slow_.fetch_add(1, std::memory_order_relaxed);
     CloseConn(id);
   }
+  for (uint64_t id : linger_done) CloseConn(id);
   for (uint64_t id : fail_read) {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;

@@ -18,6 +18,10 @@
 //
 // Robustness contract:
 //  * request-size and header limits answer 413/431 (or a NACK) and close
+//    lingering: after the error is flushed the write side is shut down
+//    and unread input is discarded until the client closes, or for at
+//    most read_timeout_ms, so the close never resets the connection
+//    before the client has read the error
 //  * slow clients are evicted: no read progress mid-request within
 //    read_timeout_ms -> 408 + close; a stalled response write within
 //    write_timeout_ms -> close; keep-alive idle past idle_timeout_ms ->
@@ -161,6 +165,9 @@ class Server {
     bool in_flight = false;     // dispatched request awaiting response
     bool want_close = false;    // close once wbuf flushes
     bool cur_keep_alive = true; // keep-alive of the in-flight HTTP request
+    // When FailConn answered an error (steady ms), else -1. Input after
+    // that is discarded, never parsed.
+    int64_t linger_since_ms = -1;
     // Progress clocks (steady, ms since loop start) for eviction.
     int64_t last_read_ms = 0;
     int64_t last_write_ms = 0;
@@ -177,6 +184,9 @@ class Server {
   void Wake(char code);
   void AcceptReady(int64_t now_ms);
   void ReadReady(Conn& conn, int64_t now_ms);
+  // Picks the connection's protocol from its first bytes (the XSKB
+  // preface, or anything else for HTTP); false while they cannot tell.
+  bool DetectProto(Conn& conn);
   void WriteReady(Conn& conn, int64_t now_ms);
   // Parses as many complete requests from conn.rbuf as the protocol
   // allows (one at a time per connection: reading pauses while a request

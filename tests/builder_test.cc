@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string_view>
 #include <vector>
 
 #include "core/builder.h"
+#include "core/frozen.h"
+#include "core/frozen_io.h"
 #include "core/serialize.h"
 #include "data/figures.h"
 #include "data/imdb.h"
+#include "data/xmark.h"
 #include "query/workload.h"
+#include "testing/doc_generator.h"
 #include "xml/parser.h"
 
 namespace xsketch::core {
@@ -252,6 +258,72 @@ TEST(XBuildParallelTest, HardwareConcurrencyDefaultMatchesSequential) {
   opts.num_threads = 0;  // hardware concurrency
   TwigXSketch parallel = XBuild(doc, opts).Build();
   EXPECT_EQ(SaveSketch(parallel), SaveSketch(sequential));
+}
+
+// --- Golden builds ----------------------------------------------------------------
+//
+// XBUILD's output is pinned. A change to the synopsis, the scoring loop or
+// the histograms that claims to keep results must accept the same
+// refinements and write the same XSK3 bytes. A change that alters the
+// build on purpose updates these values and says why.
+
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+struct GoldenBuild {
+  int iterations = 0;
+  std::array<int64_t, BuildStats::kNumKinds> accepted_by_kind = {};
+  size_t final_size_bytes = 0;
+  size_t xsk3_bytes = 0;
+  uint64_t xsk3_fnv1a64 = 0;
+};
+
+void ExpectGoldenBuild(const xml::Document& doc, const BuildOptions& opts,
+                       const GoldenBuild& want) {
+  BuildStats stats;
+  TwigXSketch sketch = XBuild(doc, opts).Build({}, &stats);
+  auto image = SaveFrozen(FrozenSynopsis(sketch));
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(stats.iterations, want.iterations);
+  EXPECT_EQ(stats.accepted_by_kind, want.accepted_by_kind);
+  EXPECT_EQ(stats.final_size_bytes, want.final_size_bytes);
+  EXPECT_EQ(image.value().size(), want.xsk3_bytes);
+  EXPECT_EQ(Fnv1a64(image.value()), want.xsk3_fnv1a64)
+      << std::hex << "got 0x" << Fnv1a64(image.value());
+}
+
+TEST(XBuildGoldenTest, SmallXMarkDefaultOptions) {
+  xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.005});
+  GoldenBuild want;
+  want.iterations = 357;
+  want.accepted_by_kind = {228, 24, 0, 94, 11, 0};
+  want.final_size_bytes = 18896;
+  want.xsk3_bytes = 64233;
+  want.xsk3_fnv1a64 = 0x400a9b8b5518b216ULL;
+  ExpectGoldenBuild(doc, BuildOptions{}, want);
+}
+
+TEST(XBuildGoldenTest, RecursiveWithBackwardCountsAndValueCorrelation) {
+  // Recursive documents give the synopsis self-loops (v -> v), the case
+  // where the split node is one of its own parents.
+  xml::Document doc = xsketch::testing::GenerateRandomDocument(
+      xsketch::testing::ShapePreset(xsketch::testing::DocShape::kRecursive,
+                                    7));
+  BuildOptions opts;
+  opts.budget_bytes =
+      TwigXSketch::Coarsest(doc, opts.coarsest).SizeBytes() + 6 * 1024;
+  opts.allow_backward_counts = true;
+  opts.allow_value_correlation = true;
+  GoldenBuild want;
+  want.iterations = 76;
+  want.accepted_by_kind = {31, 9, 0, 30, 1, 5};
+  want.final_size_bytes = 6560;
+  want.xsk3_bytes = 18828;
+  want.xsk3_fnv1a64 = 0x2777f605996d118cULL;
+  ExpectGoldenBuild(doc, opts, want);
 }
 
 TEST(XBuildStatsTest, StatsAreConsistent) {

@@ -334,6 +334,44 @@ TEST_F(DaemonTest, RequestSizeLimits) {
   EXPECT_EQ(nack.value().first, net::NackCode::kBadRequest);
 }
 
+TEST_F(DaemonTest, RefusedRequestLingersThenCloses) {
+  daemon::DaemonOptions options;
+  options.server.max_request_bytes = 4096;
+  options.server.read_timeout_ms = 300;
+  StartDaemon(std::move(options));
+
+  // A frame announcing 1 MB is refused at its header. The client goes on
+  // sending 64 KB of it before it reads.
+  const int fd = ConnectTo(port());
+  ASSERT_GE(fd, 0);
+  std::string out(net::kWirePreface);
+  net::AppendWireFrame(&out, net::FrameType::kEstimate,
+                       std::string(1 << 20, 'x'));
+  out.resize(net::kWirePreface.size() + (64 << 10));
+  EXPECT_TRUE(SendAll(fd, out));
+
+  // The NACK, then EOF: the server shut down its write side and read the
+  // rest, so the client sees a FIN rather than a reset.
+  std::string in;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    in.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << std::strerror(errno);
+  auto parsed = net::ParseWireFrame(in, 1 << 20);
+  ASSERT_EQ(parsed.outcome, net::WireParseOutcome::kFrame);
+  EXPECT_EQ(parsed.frame.type, static_cast<uint8_t>(net::FrameType::kNack));
+
+  // A client that never closes is dropped once read_timeout_ms has passed:
+  // the closed socket then resets, and a later send fails.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  SendAll(fd, "x");
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(SendAll(fd, "x"));
+  ::close(fd);
+}
+
 // --- deadlines -----------------------------------------------------------
 
 TEST_F(DaemonTest, DeadlineExpiredInQueueAnswers504) {

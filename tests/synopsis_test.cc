@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/synopsis.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
 #include "data/xmark.h"
+#include "testing/doc_generator.h"
+#include "util/random.h"
 #include "xml/parser.h"
 
 namespace xsketch::core {
@@ -138,6 +145,165 @@ TEST(SynopsisTest, SplitPreservesTotalCounts) {
     const auto& extent = syn.Extent(syn.NodeOf(e));
     EXPECT_TRUE(std::find(extent.begin(), extent.end(), e) != extent.end());
   }
+}
+
+// --- Split oracle ----------------------------------------------------------------------
+//
+// SplitNode re-derives only the split node's neighbourhood. After every
+// split in a random chain, the synopsis must equal a full rebuild from its
+// own partition, and both must match the edge definitions counted element
+// by element.
+
+void ExpectSameSynopsis(const Synopsis& got, const Synopsis& want) {
+  ASSERT_EQ(got.node_count(), want.node_count());
+  for (SynNodeId n = 0; n < got.node_count(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const SynNode& a = got.node(n);
+    const SynNode& b = want.node(n);
+    EXPECT_EQ(a.tag, b.tag);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.parents, b.parents);
+    ASSERT_EQ(a.children.size(), b.children.size());
+    for (size_t i = 0; i < a.children.size(); ++i) {
+      const SynEdge& x = a.children[i];
+      const SynEdge& y = b.children[i];
+      SCOPED_TRACE("edge to " + std::to_string(y.child));
+      EXPECT_EQ(x.child, y.child);
+      EXPECT_EQ(x.child_count, y.child_count);
+      EXPECT_EQ(x.parent_count, y.parent_count);
+      EXPECT_EQ(x.backward_stable, y.backward_stable);
+      EXPECT_EQ(x.forward_stable, y.forward_stable);
+    }
+  }
+}
+
+// Edges straight from the definitions in synopsis.h, one element at a time.
+void ExpectEdgesMatchDefinition(const Synopsis& syn) {
+  const xml::Document& doc = syn.doc();
+  struct Counted {
+    uint64_t children = 0;
+    std::set<xml::NodeId> parents;
+  };
+  std::map<std::pair<SynNodeId, SynNodeId>, Counted> edges;
+  for (xml::NodeId e = 0; e < doc.size(); ++e) {
+    const xml::NodeId p = doc.parent(e);
+    if (p == xml::kInvalidNode) continue;
+    Counted& c = edges[{syn.NodeOf(p), syn.NodeOf(e)}];
+    ++c.children;
+    c.parents.insert(p);
+  }
+  size_t edge_count = 0;
+  for (SynNodeId u = 0; u < syn.node_count(); ++u) {
+    edge_count += syn.node(u).children.size();
+    for (const SynEdge& edge : syn.node(u).children) {
+      auto it = edges.find({u, edge.child});
+      ASSERT_NE(it, edges.end()) << u << "->" << edge.child;
+      EXPECT_EQ(edge.child_count, it->second.children);
+      EXPECT_EQ(edge.parent_count, it->second.parents.size());
+      EXPECT_EQ(edge.backward_stable,
+                edge.child_count == syn.node(edge.child).count);
+      EXPECT_EQ(edge.forward_stable, edge.parent_count == syn.node(u).count);
+    }
+  }
+  EXPECT_EQ(edge_count, edges.size());
+}
+
+// Picks a node and a proper subset of its extent the way XBUILD does
+// (b-stabilize: elements with a parent in u; f-stabilize: elements with a
+// child in w), or at random. Returns false when the pick is degenerate.
+bool PickSplit(const Synopsis& syn, util::Rng& rng, SynNodeId* v,
+               std::vector<xml::NodeId>* subset) {
+  const xml::Document& doc = syn.doc();
+  *v = static_cast<SynNodeId>(rng.Uniform(syn.node_count()));
+  const SynNode& node = syn.node(*v);
+  subset->clear();
+  switch (rng.Uniform(3)) {
+    case 0: {  // b-stabilize against a random parent, often itself
+      if (node.parents.empty()) return false;
+      const SynNodeId u = node.parents[rng.Uniform(node.parents.size())];
+      for (xml::NodeId e : syn.Extent(*v)) {
+        const xml::NodeId p = doc.parent(e);
+        if (p != xml::kInvalidNode && syn.NodeOf(p) == u) {
+          subset->push_back(e);
+        }
+      }
+      break;
+    }
+    case 1: {  // f-stabilize towards a random child
+      if (node.children.empty()) return false;
+      const SynNodeId w =
+          node.children[rng.Uniform(node.children.size())].child;
+      for (xml::NodeId e : syn.Extent(*v)) {
+        bool has = false;
+        doc.ForEachChild(e, [&](xml::NodeId c) {
+          has = has || syn.NodeOf(c) == w;
+        });
+        if (has) subset->push_back(e);
+      }
+      break;
+    }
+    default:
+      for (xml::NodeId e : syn.Extent(*v)) {
+        if (rng.Bernoulli(0.5)) subset->push_back(e);
+      }
+      break;
+  }
+  return !subset->empty() && subset->size() < node.count;
+}
+
+// Runs `splits` random splits on doc's label-split synopsis, checking the
+// oracle after each. Returns how many split a node that was its own parent.
+int RunSplitChain(const xml::Document& doc, uint64_t seed, int splits) {
+  Synopsis syn = Synopsis::LabelSplit(doc);
+  util::Rng rng(seed);
+  int self_parent_splits = 0;
+  std::vector<xml::NodeId> subset;
+  for (int step = 0, attempts = 0; step < splits && attempts < splits * 20;
+       ++attempts) {
+    SynNodeId v = kInvalidSynNode;
+    if (!PickSplit(syn, rng, &v, &subset)) continue;
+    const std::vector<SynNodeId>& parents = syn.node(v).parents;
+    if (std::binary_search(parents.begin(), parents.end(), v)) {
+      ++self_parent_splits;
+    }
+    syn.SplitNode(v, subset);
+    ++step;
+
+    SCOPED_TRACE("step " + std::to_string(step) + ", split node " +
+                 std::to_string(v));
+    std::vector<SynNodeId> partition(doc.size());
+    for (xml::NodeId e = 0; e < doc.size(); ++e) partition[e] = syn.NodeOf(e);
+    const Synopsis rebuilt =
+        Synopsis::FromPartition(doc, std::move(partition), syn.node_count());
+    ExpectSameSynopsis(syn, rebuilt);
+    ExpectEdgesMatchDefinition(syn);
+    if (::testing::Test::HasFailure()) break;
+  }
+  return self_parent_splits;
+}
+
+TEST(SynopsisSplitOracleTest, RandomSplitChainsMatchFullRebuild) {
+  for (testing::DocShape shape : testing::kAllDocShapes) {
+    int self_parent_splits = 0;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(testing::DocShapeName(shape)) + " seed " +
+                   std::to_string(seed));
+      const xml::Document doc =
+          testing::GenerateRandomDocument(testing::ShapePreset(shape, seed));
+      self_parent_splits += RunSplitChain(doc, seed * 7919, 24);
+      if (HasFailure()) return;
+    }
+    // Recursive documents give self-loops (v -> v), so some splits hit a
+    // v that is its own parent and must still count its edges right.
+    if (shape == testing::DocShape::kRecursive) {
+      EXPECT_GT(self_parent_splits, 0);
+    }
+  }
+}
+
+TEST(SynopsisSplitOracleTest, XMarkSplitChainMatchesFullRebuild) {
+  const xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
+  RunSplitChain(doc, 17, 40);
 }
 
 // --- TSN -----------------------------------------------------------------------------
