@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
     tracer.Configure(obs::Tracer::Options{});  // defaults + clean rings
     obs::FlightRecorder::Default().Reset();
 
-    auto svc = service::EstimationService::Create(std::move(sketch));
+    auto svc = service::EstimationService::Create(sketch);
     if (!svc.ok()) {
       std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
       return 1;

@@ -24,9 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "util/random.h"
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
 namespace {
+
+using xsketch::util::SplitMix64;
 
 // With XSKETCH_FUZZ_DUMP=<path> set, every input is written to <path>
 // before execution — after a crash, the file holds the offending bytes
@@ -39,13 +43,6 @@ void RunOne(const std::string& input) {
   }
   LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(input.data()),
                          input.size());
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 std::vector<std::string> CollectInputs(int argc, char** argv) {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "net/json.h"
 #include "query/xpath_parser.h"
@@ -106,16 +107,16 @@ util::Status DaemonOptions::Validate() const {
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   auto& reg = obs::MetricsRegistry::Default();
-  metrics_.requests = &reg.GetCounter(
+  metrics_.requests.global = &reg.GetCounter(
       "xsketch_daemon_requests_total",
       "Requests dispatched to the daemon (both protocols)");
-  metrics_.shed = &reg.GetCounter(
+  metrics_.shed.global = &reg.GetCounter(
       "xsketch_daemon_shed_total",
       "Requests shed by admission control (HTTP 429 / NACK overload)");
-  metrics_.deadline_expired = &reg.GetCounter(
+  metrics_.deadline_expired.global = &reg.GetCounter(
       "xsketch_daemon_deadline_expired_total",
       "Requests whose deadline passed before execution started");
-  metrics_.errors = &reg.GetCounter(
+  metrics_.errors.global = &reg.GetCounter(
       "xsketch_daemon_errors_total",
       "Requests answered with an error (excluding overload sheds)");
   metrics_.queue_depth = &reg.GetGauge(
@@ -169,22 +170,32 @@ void Daemon::Run() { server_->Run(); }
 
 util::Status Daemon::AddSketch(const std::string& doc_id,
                                const std::string& path) {
-  auto handle = catalog_->Put(doc_id, path);
+  std::vector<std::string> dropped_docs;
+  auto handle = catalog_->Put(doc_id, path, &dropped_docs);
   if (!handle.ok()) return handle.status();
-  // Invalidate the cached service for this doc: the next request builds
-  // one against the new generation. In-flight requests keep the old
-  // service (and its pinned mapping) alive through their shared_ptr.
-  std::lock_guard<std::mutex> lock(services_mu_);
-  services_.erase(doc_id);
+  dropped_docs.push_back(doc_id);
+  // Drop the cached services of the swapped doc and the evicted ones: the
+  // next request for a swapped doc builds one against the new generation.
+  // In-flight requests keep the old service (and its pinned mapping)
+  // alive through their shared_ptr. The last reference joins the
+  // service's batch pool, so the entries are destroyed after services_mu_
+  // is released.
+  std::vector<decltype(services_)::node_type> dropped;
+  {
+    std::lock_guard<std::mutex> lock(services_mu_);
+    for (const std::string& id : dropped_docs) {
+      dropped.push_back(services_.extract(id));
+    }
+  }
   return util::Status::OK();
 }
 
 Daemon::Stats Daemon::stats() const {
   Stats s;
-  s.requests = metrics_.requests->value();
-  s.shed = metrics_.shed->value();
-  s.deadline_expired = metrics_.deadline_expired->value();
-  s.errors = metrics_.errors->value();
+  s.requests = metrics_.requests.local.value();
+  s.shed = metrics_.shed.local.value();
+  s.deadline_expired = metrics_.deadline_expired.local.value();
+  s.errors = metrics_.errors.local.value();
   return s;
 }
 
@@ -213,8 +224,17 @@ util::Result<std::shared_ptr<service::EstimationService>> Daemon::ServiceFor(
   if (!service.ok()) return service.status();
   std::shared_ptr<service::EstimationService> shared =
       std::move(service).value();
+  std::shared_ptr<service::EstimationService> replaced;  // dies after unlock
   std::lock_guard<std::mutex> lock(services_mu_);
-  services_[doc_id] = CachedService{generation, shared};
+  // An AddSketch that swapped or evicted doc_id since the Get above has
+  // already cleared its entry. Caching this generation now would pin the
+  // old mapping until the doc is added again, so this request keeps the
+  // service to itself.
+  if (catalog_->CurrentGeneration(doc_id) == generation) {
+    CachedService& cached = services_[doc_id];
+    cached.generation = generation;
+    replaced = std::exchange(cached.service, shared);
+  }
   return shared;
 }
 
@@ -229,7 +249,7 @@ std::optional<Clock::time_point> Daemon::DeadlineFrom(
 
 void Daemon::Dispatch(net::ServerRequest&& request,
                       net::Responder responder) {
-  metrics_.requests->Increment();
+  metrics_.requests.Increment();
   if (request.proto == net::ServerRequest::Proto::kHttp) {
     DispatchHttp(std::move(request.http), std::move(responder));
   } else {
@@ -242,7 +262,7 @@ void Daemon::Admit(std::function<void()> work, net::Responder responder,
   if (draining()) {
     // The server already stops reading during drain, but requests parsed
     // in the same loop iteration as the drain signal can still arrive.
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(
         util::Status::Unavailable("server is draining"), binary));
     return;
@@ -251,7 +271,7 @@ void Daemon::Admit(std::function<void()> work, net::Responder responder,
       pool_->TrySubmit(std::move(work), options_.admission_queue_limit);
   metrics_.queue_depth->Set(static_cast<int64_t>(pool_->queue_depth()));
   if (admitted) return;
-  metrics_.shed->Increment();
+  metrics_.shed.Increment();
   if (binary) {
     responder.Send(BinaryNack(net::NackCode::kOverload,
                               "admission queue full; retry later"));
@@ -294,19 +314,19 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
 
   if (request.path != "/estimate" && request.path != "/batch" &&
       request.path != "/explain") {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(404, "unknown endpoint " + request.path));
     return;
   }
   if (request.method != "POST") {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(405, request.path + " is POST-only"));
     return;
   }
 
   auto parsed = net::ParseJson(request.body);
   if (!parsed.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "request body: " +
                                       parsed.status().message()));
     return;
@@ -314,7 +334,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
   const net::JsonValue& body = parsed.value();
   const std::string* doc = body.FindString("doc");
   if (doc == nullptr) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "missing string field 'doc'"));
     return;
   }
@@ -334,7 +354,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     const net::JsonValue* queries = body.Find("queries");
     if (queries == nullptr ||
         queries->kind() != net::JsonValue::Kind::kArray) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(HttpError(400, "missing array field 'queries'"));
       return;
     }
@@ -342,7 +362,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     texts.reserve(queries->array().size());
     for (const net::JsonValue& q : queries->array()) {
       if (q.kind() != net::JsonValue::Kind::kString) {
-        metrics_.errors->Increment();
+        metrics_.errors.Increment();
         responder.Send(HttpError(400, "'queries' must be strings"));
         return;
       }
@@ -359,7 +379,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
 
   const std::string* query = body.FindString("query");
   if (query == nullptr) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "missing string field 'query'"));
     return;
   }
@@ -388,7 +408,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
   if (type == net::FrameType::kEstimate) {
     auto req = net::DecodeEstimateRequest(frame.payload);
     if (!req.ok()) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(
           BinaryNack(net::NackCode::kBadRequest, req.status().message()));
       return;
@@ -406,7 +426,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
   if (type == net::FrameType::kBatch) {
     auto req = net::DecodeBatchRequest(frame.payload);
     if (!req.ok()) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(
           BinaryNack(net::NackCode::kBadRequest, req.status().message()));
       return;
@@ -422,7 +442,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
         responder, /*binary=*/true);
     return;
   }
-  metrics_.errors->Increment();
+  metrics_.errors.Increment();
   responder.Send(BinaryNack(
       net::NackCode::kBadRequest,
       "unknown frame type " + std::to_string(frame.type)));
@@ -436,7 +456,7 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
   if (deadline.has_value() && Clock::now() >= *deadline) {
-    metrics_.deadline_expired->Increment();
+    metrics_.deadline_expired.Increment();
     responder.Send(ErrorResponse(
         util::Status::DeadlineExceeded(
             "deadline passed while queued for admission"),
@@ -446,19 +466,19 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
   uint64_t generation = 0;
   auto service = ServiceFor(doc, &generation);
   if (!service.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(service.status(), binary));
     return;
   }
   auto twig = ParseQueryText(query, service.value()->tags());
   if (!twig.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), binary));
     return;
   }
   auto plan = service.value()->Prepare(twig.value());
   if (!plan.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), binary));
     return;
   }
@@ -490,7 +510,7 @@ void Daemon::HandleBatch(const std::string& doc,
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
   if (deadline.has_value() && Clock::now() >= *deadline) {
-    metrics_.deadline_expired->Increment();
+    metrics_.deadline_expired.Increment();
     responder.Send(ErrorResponse(
         util::Status::DeadlineExceeded(
             "deadline passed while queued for admission"),
@@ -499,7 +519,7 @@ void Daemon::HandleBatch(const std::string& doc,
   }
   auto service = ServiceFor(doc);
   if (!service.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(service.status(), binary));
     return;
   }
@@ -605,19 +625,19 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   uint64_t generation = 0;
   auto service = ServiceFor(doc, &generation);
   if (!service.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(service.status(), /*binary=*/false));
     return;
   }
   auto twig = ParseQueryText(query, service.value()->tags());
   if (!twig.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), /*binary=*/false));
     return;
   }
   auto plan = service.value()->Prepare(twig.value());
   if (!plan.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));
     return;
   }

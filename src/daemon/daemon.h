@@ -96,12 +96,17 @@ class Daemon {
   bool draining() const { return server_->draining(); }
 
   // Hot swap / add: catalog Put. In-flight queries on the old generation
-  // finish on it; new requests see the new one.
+  // finish on it; new requests see the new one. The cached services of
+  // the swapped doc and of every doc the catalog budget evicted are
+  // dropped, so their mappings and batch pools go once in-flight requests
+  // finish.
   util::Status AddSketch(const std::string& doc_id, const std::string& path);
 
   net::Server& server() { return *server_; }
   service::SketchCatalog& catalog() { return *catalog_; }
 
+  // This daemon's own event counts. The registry counters of the same
+  // names (xsketch_daemon_*_total) sum over every daemon in the process.
   struct Stats {
     uint64_t requests = 0;
     uint64_t shed = 0;              // admission-queue overflow
@@ -137,9 +142,9 @@ class Daemon {
                      net::Responder responder);
 
   // The per-(doc, generation) service for the catalog's current
-  // generation of `doc_id`, creating it on first use. Old generations of
-  // the same doc are dropped from the cache (in-flight holders keep
-  // theirs alive via shared_ptr).
+  // generation of `doc_id`, creating it on first use. Only a generation
+  // the catalog still holds is cached; old generations leave the cache
+  // (in-flight holders keep theirs alive via shared_ptr).
   util::Result<std::shared_ptr<service::EstimationService>> ServiceFor(
       const std::string& doc_id, uint64_t* generation_out = nullptr);
 
@@ -150,6 +155,7 @@ class Daemon {
   const DaemonOptions options_;
   std::unique_ptr<service::SketchCatalog> catalog_;
 
+  // Taken before the catalog's own mutex when both are held.
   std::mutex services_mu_;
   struct CachedService {
     uint64_t generation = 0;
@@ -157,15 +163,25 @@ class Daemon {
   };
   std::unordered_map<std::string, CachedService> services_;
 
-  struct Metrics {
-    obs::Counter* requests;
-    obs::Counter* shed;
-    obs::Counter* deadline_expired;
-    obs::Counter* errors;
-    obs::Gauge* queue_depth;
-    obs::Histogram* handler_us;
+  // One request-path event: the process-wide registry counter plus this
+  // daemon's own count for stats(), one relaxed increment each.
+  struct EventCounter {
+    void Increment() {
+      global->Increment();
+      local.Increment();
+    }
+    obs::Counter* global = nullptr;
+    obs::Counter local;
   };
-  Metrics metrics_{};
+  struct Metrics {
+    EventCounter requests;
+    EventCounter shed;
+    EventCounter deadline_expired;
+    EventCounter errors;
+    obs::Gauge* queue_depth = nullptr;
+    obs::Histogram* handler_us = nullptr;
+  };
+  Metrics metrics_;
 
   // Destruction order matters: workers hold Responders into server_ and
   // shared_ptrs into services_/catalog_, so the pool (declared last) is

@@ -1,8 +1,8 @@
 #include "net/json.h"
 
 #include <charconv>
+#include <clocale>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <system_error>
 #include <utility>
@@ -90,6 +90,16 @@ JsonValue JsonValue::Object(std::map<std::string, JsonValue> members) {
 }
 
 namespace {
+
+// strtod follows LC_NUMERIC, so under a host program's comma-decimal
+// locale it would stop at the '.' of "0.5". strtod_l over the C locale
+// reads every token exactly as strtod does in the C locale, including the
+// leading '+' and the underflow to zero that std::from_chars rejects.
+locale_t CLocale() {
+  static const locale_t c = newlocale(LC_ALL_MASK, "C", locale_t{});
+  XS_CHECK(c != locale_t{});
+  return c;
+}
 
 class Parser {
  public:
@@ -285,7 +295,7 @@ class Parser {
     if (pos_ == start) return Error("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
+    const double v = strtod_l(token.c_str(), &end, CLocale());
     if (end != token.c_str() + token.size() || !std::isfinite(v)) {
       return Error("bad number '" + token + "'");
     }
@@ -302,31 +312,6 @@ class Parser {
 
 util::Result<JsonValue> ParseJson(std::string_view text, int max_depth) {
   return Parser(text, max_depth).Parse();
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(ch);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 void AppendJsonNumber(std::string* out, double v) {

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/format.h"
 #include "util/status.h"
 
 namespace xsketch::net {
@@ -64,8 +65,9 @@ class JsonValue {
 // `max_depth` bounds array/object nesting against stack exhaustion.
 util::Result<JsonValue> ParseJson(std::string_view text, int max_depth = 32);
 
-// Appends `s` as a JSON string literal (quotes included) to `out`.
-void AppendJsonString(std::string* out, std::string_view s);
+// Appends `s` as a JSON string literal (quotes included) to `out`; the
+// one escaper every JSON writer in the tree shares (util/format.h).
+using util::AppendJsonString;
 
 // Formats a double as its shortest round-trip text (std::to_chars: the
 // fewest digits that parse back to the same bits, locale-independent, so

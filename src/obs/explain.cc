@@ -1,7 +1,6 @@
 #include "obs/explain.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/check.h"
 #include "util/format.h"
@@ -21,26 +20,6 @@ std::string FormatExact(double v) {
 // Compact form for the human-readable tree.
 std::string FormatShort(double v) {
   return util::FormatDecimal(v, std::chars_format::general, 6);
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 const char* OpName(ExplainOp op) {
@@ -120,9 +99,9 @@ void RenderJson(const ExplainNode& n, std::string& out) {
   out += "{\"op\":\"";
   out += OpName(n.op);
   out += "\",\"kind\":";
-  AppendJsonString(out, n.kind);
+  util::AppendJsonString(&out, n.kind);
   out += ",\"label\":";
-  AppendJsonString(out, n.label);
+  util::AppendJsonString(&out, n.label);
   if (n.twig_node >= 0) {
     out += ",\"twig_node\":" + std::to_string(n.twig_node);
   }

@@ -1,7 +1,6 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.h"
 #include "util/format.h"
@@ -13,26 +12,6 @@ namespace {
 // void* because Ring is private to FlightRecorder; only member functions
 // (which have access) cast it.
 thread_local void* g_thread_ring = nullptr;
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 void AppendHex(std::string& out, const std::string& bytes) {
   static const char kHex[] = "0123456789abcdef";
@@ -63,7 +42,7 @@ std::string FlightRecord::ToJson() const {
   out += ok ? "true" : "false";
   if (!ok) {
     out += ",\"error\":";
-    AppendJsonString(out, error);
+    util::AppendJsonString(&out, error);
   }
   out += ",\"estimate\":";
   out += util::FormatDecimal(estimate, std::chars_format::general, 17);

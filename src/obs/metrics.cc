@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/check.h"
 #include "util/format.h"
@@ -24,26 +23,6 @@ std::string FormatDouble(double v) {
     if (parsed == v) return trial;
   }
   return util::FormatDecimal(v, std::chars_format::general, 17);
-}
-
-void AppendJsonString(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -190,7 +169,7 @@ std::string MetricsRegistry::ToJson() const {
     if (!first) out.push_back(',');
     first = false;
     out += "{\"name\":";
-    AppendJsonString(out, m.name);
+    util::AppendJsonString(&out, m.name);
     out += ",\"kind\":";
     switch (m.kind) {
       case Kind::kCounter: out += "\"counter\""; break;
@@ -199,7 +178,7 @@ std::string MetricsRegistry::ToJson() const {
     }
     if (!m.help.empty()) {
       out += ",\"help\":";
-      AppendJsonString(out, m.help);
+      util::AppendJsonString(&out, m.help);
     }
     switch (m.kind) {
       case Kind::kCounter:

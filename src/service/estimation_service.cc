@@ -12,6 +12,7 @@
 #include "obs/flight.h"
 #include "util/check.h"
 #include "util/percentiles.h"
+#include "util/random.h"
 
 namespace xsketch::service {
 
@@ -21,15 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
-}
-
-// SplitMix64: the audit sampling mask must be deterministic in
-// (seed, query index) so a batch audited twice samples the same queries.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -103,13 +95,11 @@ util::Status ServiceOptions::Validate() const {
 }
 
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
-    core::TwigXSketch sketch, const ServiceOptions& options) {
+    const core::TwigXSketch& sketch, const ServiceOptions& options) {
   if (util::Status st = options.Validate(); !st.ok()) return st;
-  const int threads = options.num_threads > 0
-                          ? options.num_threads
-                          : util::ThreadPool::HardwareThreads();
-  return std::unique_ptr<EstimationService>(
-      new EstimationService(std::move(sketch), options, threads));
+  return std::unique_ptr<EstimationService>(new EstimationService(
+      std::make_shared<const core::FrozenSynopsis>(sketch), &sketch.doc(),
+      options));
 }
 
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
@@ -121,49 +111,25 @@ util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
   }
   if (options.audit_fraction > 0.0) {
     return util::Status::InvalidArgument(
-        "audit mode needs the source document; a frozen-only service has "
-        "none (load the XSK2 sketch instead)");
+        "audit mode needs the source document; a service over a frozen "
+        "image has none (create it from the TwigXSketch instead)");
   }
-  if (!options.use_compiled) {
-    return util::Status::InvalidArgument(
-        "frozen-only services execute compiled programs; use_compiled "
-        "must stay enabled");
-  }
-  const int threads = options.num_threads > 0
-                          ? options.num_threads
-                          : util::ThreadPool::HardwareThreads();
   return std::unique_ptr<EstimationService>(
-      new EstimationService(std::move(frozen), options, threads));
-}
-
-EstimationService::EstimationService(core::TwigXSketch sketch,
-                                     const ServiceOptions& options,
-                                     int num_threads)
-    : sketch_(std::move(sketch)),
-      options_(options),
-      frozen_(std::make_shared<const core::FrozenSynopsis>(*sketch_)),
-      compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
-                                                           options.estimator)),
-      pool_(num_threads) {
-  estimator_.emplace(*sketch_, options.estimator);
-  if (options_.audit_fraction > 0.0) {
-    exact_ = std::make_unique<query::ExactEvaluator>(sketch_->doc());
-  }
-  InitMetrics();
+      new EstimationService(std::move(frozen), nullptr, options));
 }
 
 EstimationService::EstimationService(
     std::shared_ptr<const core::FrozenSynopsis> frozen,
-    const ServiceOptions& options, int num_threads)
+    const xml::Document* doc, const ServiceOptions& options)
     : options_(options),
       frozen_(std::move(frozen)),
       compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
                                                            options.estimator)),
-      pool_(num_threads) {
-  InitMetrics();
-}
-
-void EstimationService::InitMetrics() {
+      pool_(options.num_threads > 0 ? options.num_threads
+                                    : util::ThreadPool::HardwareThreads()) {
+  if (options_.audit_fraction > 0.0) {
+    exact_ = std::make_unique<query::ExactEvaluator>(*doc);
+  }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   metrics_.batches =
       &reg.GetCounter("xsketch_service_batches_total", "EstimateBatch calls");
@@ -203,7 +169,7 @@ bool EstimationService::TraceSelected(uint64_t ordinal) const {
   const double rate = options_.trace_sample_rate;
   if (rate <= 0.0) return false;
   if (rate >= 1.0) return true;
-  const uint64_t h = Mix64(options_.trace_seed ^ ordinal);
+  const uint64_t h = util::SplitMix64(options_.trace_seed ^ ordinal);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
 }
 
@@ -319,8 +285,8 @@ void EstimationService::RecordFlight(
     const util::Result<core::EstimateStats>& result) const {
   obs::FlightRecord rec;
   rec.trace_id = trace_id;
-  // The interpreter path never encodes a key; do it here so every record
-  // carries its query identity.
+  // A twig that fails validation never reaches the key encoding; encode
+  // it here so every record carries its query identity.
   rec.twig_key = attr.key.empty() ? CanonicalTwigKey(twig)
                                   : std::move(attr.key);
   rec.sketch_generation = options_.sketch_generation;
@@ -340,8 +306,11 @@ void EstimationService::RecordFlight(
 
 bool EstimationService::AuditSelected(size_t index) const {
   if (exact_ == nullptr) return false;
-  // Map the hash to [0, 1) and compare against the sampled fraction.
-  const uint64_t h = Mix64(options_.audit_seed ^ static_cast<uint64_t>(index));
+  // Deterministic in (seed, query index), so a batch audited twice samples
+  // the same queries: map the hash to [0, 1) and compare against the
+  // sampled fraction.
+  const uint64_t h =
+      util::SplitMix64(options_.audit_seed ^ static_cast<uint64_t>(index));
   const double u =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // 53 uniform bits
   return u < options_.audit_fraction;
@@ -362,16 +331,8 @@ util::Result<core::EstimateStats> EstimationService::Estimate(
     // Inner scope: the kQuery span must close before the flight record is
     // taken so slow/error promotion sees the complete tree.
     obs::SpanScope qspan(ctx, obs::Stage::kQuery);
-    if (estimator_.has_value()) {
-      obs::SpanScope interp(obs::Stage::kInterpret);
-      result.emplace(estimator_->EstimateChecked(twig));
-    } else {
-      // Frozen-only service: the compiled path is the only path (and it
-      // is bit-identical to the interpreter by the compile-layer
-      // contract).
-      result.emplace(EstimateCompiled(twig, flight ? &attr : nullptr,
-                                      flight ? &execute_us : nullptr));
-    }
+    result.emplace(EstimateCompiled(twig, flight ? &attr : nullptr,
+                                    flight ? &execute_us : nullptr));
   }
   if (flight) {
     RecordFlight(twig, ctx.trace_id, std::move(attr), execute_us,
@@ -386,8 +347,7 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
                                  std::optional<Deadline> deadline) {
   const Clock::time_point batch_start = Clock::now();
   const core::DescendantPathCache::Counters cache_before =
-      estimator_.has_value() ? estimator_->path_cache_counters()
-                             : core::DescendantPathCache::Counters{};
+      compiler_->path_cache_counters();
   const auto plans_before = plan_cache_counters();
 
   const size_t n = queries.size();
@@ -446,14 +406,9 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
         double execute_us = 0.0;
         {
           obs::SpanScope qspan(obs::Stage::kQuery, i);
-          if (options_.use_compiled) {
-            staged[i].emplace(
-                EstimateCompiled(queries[i], flight ? &attr : nullptr,
-                                 flight ? &execute_us : nullptr));
-          } else {
-            obs::SpanScope interp(obs::Stage::kInterpret);
-            staged[i].emplace(estimator_->EstimateChecked(queries[i]));
-          }
+          staged[i].emplace(EstimateCompiled(queries[i],
+                                             flight ? &attr : nullptr,
+                                             flight ? &execute_us : nullptr));
         }
         latencies_us[i] = MicrosBetween(q_start, Clock::now());
         // Exemplar: the batch's trace id rides along so the latency
@@ -540,8 +495,7 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       agg.p95_latency_us = util::Percentile(ran, 0.95);
     }
     const core::DescendantPathCache::Counters cache_after =
-        estimator_.has_value() ? estimator_->path_cache_counters()
-                               : core::DescendantPathCache::Counters{};
+        compiler_->path_cache_counters();
     agg.cache_lookups = cache_after.lookups - cache_before.lookups;
     agg.cache_hits = cache_after.hits - cache_before.hits;
     agg.cache_hit_rate =

@@ -2,29 +2,28 @@
 //
 // The paper's evaluation (§6, Table 2) runs thousand-query workloads
 // against one synopsis; this is the serving-shaped version of that setting:
-// the service owns one immutable Twig XSKETCH plus a shared Estimator and
-// fans batches of twig queries out across a fixed thread pool. Per-query
-// work is independent — the only cross-thread state is the estimator's
-// sharded descendant-path cache — so results are bit-identical to running
-// Estimator::EstimateWithStats sequentially in batch order.
+// the service holds one immutable FrozenSynopsis and fans batches of twig
+// queries out across a fixed thread pool. Every query runs as a compiled
+// program (core/compile.h) lowered through a shared TwigCompiler. Per-query
+// work is independent — the only cross-thread state is the compiler's
+// sharded descendant-path cache and the plan cache below — so results are
+// bit-identical to running Estimator::EstimateWithStats, the reference
+// interpreter, sequentially in batch order (estimates AND EstimateStats
+// counters; pinned by the differential harness).
 //
 // Every query is validated first: malformed twigs come back as per-query
 // Status::InvalidArgument entries, never aborts, and never poison the rest
 // of the batch.
 //
-// Prepared execution (the default): the service freezes its sketch into a
-// FrozenSynopsis at construction and lowers queries to CompiledTwig
-// programs through a shared TwigCompiler (core/compile.h). Prepare()
-// returns a shareable program; ExecutePrepared() runs it. EstimateBatch
-// routes through the same compiler via an internal LRU plan cache keyed by
-// the twig's canonical byte encoding, so repeated query shapes skip
-// lowering entirely. Compiled execution is bit-identical to the
-// interpreter — estimates AND EstimateStats counters — so flipping
-// ServiceOptions::use_compiled changes latency, never results.
+// Prepared execution: Prepare() returns a shareable compiled program from
+// an internal LRU plan cache keyed by the twig's canonical byte encoding,
+// so repeated query shapes skip lowering entirely. Estimate() and
+// EstimateBatch() run through the same cache.
 //
-// Audit mode (opt-in via ServiceOptions::audit_fraction): a deterministic
-// sample of each batch is additionally evaluated exactly with
-// query::ExactEvaluator, and the paper's relative-error metric
+// Audit mode (opt-in via ServiceOptions::audit_fraction, services created
+// from a TwigXSketch only): a deterministic sample of each batch is
+// additionally evaluated exactly with query::ExactEvaluator against the
+// sketch's document, and the paper's relative-error metric
 // |r - c| / max(s, c) (§6.1) is aggregated into BatchStats and fed into
 // the process-wide xsketch_service_audit_rel_error histogram — live
 // accuracy telemetry against ground truth.
@@ -72,13 +71,9 @@ struct ServiceOptions {
   // worker ~4 chunks (bounds scheduling overhead while still smoothing
   // skewed per-query latencies); otherwise must be >= 1.
   int chunk_size = 0;
-  // Forwarded to the shared Estimator and TwigCompiler.
+  // Forwarded to the shared TwigCompiler.
   core::EstimatorOptions estimator;
 
-  // Route EstimateBatch through compiled twig programs (bit-identical to
-  // the interpreter; roughly an order of magnitude faster on repeated
-  // query shapes). Prepare/ExecutePrepared work either way.
-  bool use_compiled = true;
   // Compiled programs kept in the LRU plan cache; 0 disables caching
   // (every batch query recompiles); otherwise must be >= 1.
   int plan_cache_capacity = 256;
@@ -133,15 +128,16 @@ struct BatchStats {
   double p50_latency_us = 0.0;    // per-query estimation latency
   double p95_latency_us = 0.0;
   // Descendant-path cache activity attributable to this batch: deltas of
-  // the cache's lifetime counters snapshotted before and after the batch,
-  // not lifetime totals. Approximate if batches overlap.
+  // the compiler's lifetime counters snapshotted before and after the
+  // batch, not lifetime totals. Only plan-cache misses lower queries, so
+  // only they expand '//' steps. Approximate if batches overlap.
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
   // cache_hits / cache_lookups (0 when the batch never expanded a '//'
   // step).
   double cache_hit_rate = 0.0;
   // Plan-cache activity attributable to this batch (deltas, like the
-  // path-cache counters above; zero when use_compiled is off).
+  // path-cache counters above).
   uint64_t plan_cache_lookups = 0;
   uint64_t plan_cache_hits = 0;
   // Accuracy audit (populated only when ServiceOptions::audit_fraction
@@ -161,17 +157,17 @@ struct BatchStats {
 
 class EstimationService {
  public:
-  // Takes ownership of `sketch`; validates `options`. The returned
-  // service is immutable and safe to share across threads.
+  // Validates `options` and freezes `sketch`; the sketch itself is not
+  // kept. The sketch's document must outlive the service, which audits
+  // against it. The returned service is immutable and safe to share
+  // across threads.
   static util::Result<std::unique_ptr<EstimationService>> Create(
-      core::TwigXSketch sketch, const ServiceOptions& options = {});
+      const core::TwigXSketch& sketch, const ServiceOptions& options = {});
 
-  // Frozen-only service over an already-frozen synopsis — typically one
-  // mmap-loaded from an XSK3 file (core/frozen_io.h). No TwigXSketch, no
-  // source document: every estimate runs as a compiled program over the
-  // frozen arrays (bit-identical to the full-sketch service). Rejects
-  // options that need the document or the interpreter (audit_fraction > 0,
-  // use_compiled == false).
+  // Service over an already-frozen synopsis — typically one mmap-loaded
+  // from an XSK3 file (core/frozen_io.h). It has no source document, so
+  // it rejects audit_fraction > 0; every estimate is bit-identical to a
+  // service created from the sketch the image was frozen from.
   static util::Result<std::unique_ptr<EstimationService>> Create(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
       const ServiceOptions& options = {});
@@ -201,7 +197,9 @@ class EstimationService {
       BatchStats* stats = nullptr,
       std::optional<Deadline> deadline = std::nullopt);
 
-  // Single-query convenience: EstimateChecked on the shared estimator.
+  // Single-query convenience: Prepare (through the plan cache) plus
+  // ExecuteWithStats, bit-identical to Estimator::EstimateChecked on the
+  // same sketch. Malformed twigs return InvalidArgument.
   util::Result<core::EstimateStats> Estimate(
       const query::TwigQuery& twig) const;
 
@@ -214,13 +212,6 @@ class EstimationService {
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
 
-  // Runs a prepared program with diagnostics — the prepared-path
-  // equivalent of Estimate(), bit-identical to it (estimate and all
-  // counters). For the plain fast path call plan.Execute() directly.
-  core::EstimateStats ExecutePrepared(const core::CompiledTwig& plan) const {
-    return plan.ExecuteWithStats();
-  }
-
   struct PlanCacheCounters {
     uint64_t lookups = 0;
     uint64_t hits = 0;
@@ -230,26 +221,18 @@ class EstimationService {
   // Lifetime plan-cache activity for this service.
   PlanCacheCounters plan_cache_counters() const;
 
-  // False for frozen-only services (no TwigXSketch, no source document);
-  // sketch() and estimator() may only be called when this is true.
-  bool has_sketch() const { return sketch_.has_value(); }
-  const core::TwigXSketch& sketch() const { return *sketch_; }
-  const core::Estimator& estimator() const { return *estimator_; }
   const core::TwigCompiler& compiler() const { return *compiler_; }
   const core::FrozenSynopsis& frozen() const { return *frozen_; }
-  // Tag names usable for parsing path queries against this service —
-  // works in both modes (the frozen synopsis carries its own interner).
+  // Tag names usable for parsing path queries against this service (the
+  // frozen synopsis carries its own interner).
   const util::StringInterner& tags() const { return frozen_->tags(); }
   int num_threads() const { return pool_.num_threads(); }
 
  private:
-  EstimationService(core::TwigXSketch sketch, const ServiceOptions& options,
-                    int num_threads);
+  // `doc` is the audit's ground truth; null for services over a frozen
+  // image.
   EstimationService(std::shared_ptr<const core::FrozenSynopsis> frozen,
-                    const ServiceOptions& options, int num_threads);
-
-  // Registry handles + metric wiring shared by both constructors.
-  void InitMetrics();
+                    const xml::Document* doc, const ServiceOptions& options);
 
   // True iff query `index` of a batch falls in the audit sample
   // (deterministic in (audit_seed, index)).
@@ -279,8 +262,8 @@ class EstimationService {
   util::Result<std::shared_ptr<const core::CompiledTwig>> PrepareAttributed(
       const query::TwigQuery& twig, QueryAttribution* attr) const;
 
-  // One batch query on the prepared path: Prepare + ExecutePrepared, with
-  // optional attribution and kPlanCache/kExecute spans when traced.
+  // One query: Prepare + ExecuteWithStats, with optional attribution and
+  // kPlanCache/kExecute spans when traced.
   util::Result<core::EstimateStats> EstimateCompiled(
       const query::TwigQuery& twig, QueryAttribution* attr = nullptr,
       double* execute_us = nullptr) const;
@@ -323,14 +306,8 @@ class EstimationService {
   };
   using PlanList = std::list<PlanEntry>;
 
-  // Owned sketch + interpreter; absent for frozen-only services. The
-  // estimator references sketch_, so it is declared after it and
-  // destroyed before it.
-  std::optional<core::TwigXSketch> sketch_;
   ServiceOptions options_;
-  std::optional<core::Estimator> estimator_;  // shared by all workers
-  // Frozen synopsis for the prepared path: self-contained (owns or pins
-  // its storage), present in both modes.
+  // Self-contained: owns or pins its storage.
   std::shared_ptr<const core::FrozenSynopsis> frozen_;
   std::unique_ptr<const core::TwigCompiler> compiler_;
   mutable std::mutex plan_mu_;

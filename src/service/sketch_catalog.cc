@@ -58,8 +58,9 @@ SketchCatalog::SketchCatalog(const CatalogOptions& options)
                     "measured bytes of resident frozen synopses");
 }
 
-util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
-                                              const std::string& path) {
+util::Result<SketchHandle> SketchCatalog::Put(
+    const std::string& doc_id, const std::string& path,
+    std::vector<std::string>* evicted) {
   if (doc_id.empty()) {
     return util::Status::InvalidArgument("doc_id must not be empty");
   }
@@ -125,7 +126,7 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
     metrics_.resident_bytes->Add(static_cast<double>(handle.size_bytes_));
     metrics_.sketches->Add(1.0);
   }
-  EnforceBudgetLocked(doc_id);
+  EnforceBudgetLocked(doc_id, evicted);
   return handle;
 }
 
@@ -144,6 +145,12 @@ util::Result<SketchHandle> SketchCatalog::Get(const std::string& doc_id) {
   return *it->second;
 }
 
+uint64_t SketchCatalog::CurrentGeneration(const std::string& doc_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(doc_id);
+  return it == index_.end() ? 0 : it->second->generation_;
+}
+
 bool SketchCatalog::Remove(const std::string& doc_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(doc_id);
@@ -156,7 +163,8 @@ bool SketchCatalog::Remove(const std::string& doc_id) {
   return true;
 }
 
-void SketchCatalog::EnforceBudgetLocked(const std::string& keep) {
+void SketchCatalog::EnforceBudgetLocked(const std::string& keep,
+                                        std::vector<std::string>* evicted) {
   if (options_.byte_budget == 0) return;
   while (resident_bytes_ > options_.byte_budget && lru_.size() > 1) {
     // Evict from the cold end, but never the entry being installed — a
@@ -170,6 +178,7 @@ void SketchCatalog::EnforceBudgetLocked(const std::string& keep) {
     metrics_.resident_bytes->Sub(static_cast<double>(victim->size_bytes_));
     metrics_.sketches->Sub(1.0);
     index_.erase(victim->doc_id_);
+    if (evicted != nullptr) evicted->push_back(victim->doc_id_);
     lru_.erase(victim);
     ++counters_.evictions;
     metrics_.evictions->Increment();

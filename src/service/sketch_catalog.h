@@ -36,6 +36,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/compile.h"
 #include "core/frozen.h"
@@ -107,13 +108,19 @@ class SketchCatalog {
   // atomically replacing any existing generation (which outstanding
   // handles keep pinned). Returns a handle to the new generation. On load
   // failure the catalog is unchanged — a bad replacement file never
-  // clobbers a serving sketch.
+  // clobbers a serving sketch. When `evicted` is non-null it receives the
+  // doc ids the byte budget evicted to make room.
   util::Result<SketchHandle> Put(const std::string& doc_id,
-                                 const std::string& path);
+                                 const std::string& path,
+                                 std::vector<std::string>* evicted = nullptr);
 
   // Returns the current generation for `doc_id` (touching it in the LRU
   // order), or NotFound.
   util::Result<SketchHandle> Get(const std::string& doc_id);
+
+  // The generation installed under `doc_id`, or 0 when absent. Unlike Get
+  // it neither touches the LRU order nor counts a hit or miss.
+  uint64_t CurrentGeneration(const std::string& doc_id) const;
 
   // Drops `doc_id` from the catalog; outstanding handles stay valid.
   // Returns false if absent.
@@ -135,9 +142,10 @@ class SketchCatalog {
  private:
   explicit SketchCatalog(const CatalogOptions& options);
 
-  // Evicts LRU entries (never `keep`) until the budget holds. Caller
-  // holds mu_.
-  void EnforceBudgetLocked(const std::string& keep);
+  // Evicts LRU entries (never `keep`) until the budget holds, appending
+  // their doc ids to `evicted` when it is non-null. Caller holds mu_.
+  void EnforceBudgetLocked(const std::string& keep,
+                           std::vector<std::string>* evicted);
 
   struct Metrics {
     obs::Counter* loads;

@@ -179,12 +179,11 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   const core::TwigCompiler xsk3_compiler(xsk3.value(), eopts);
 
   // Batch-parallel path: one EstimationService fan-out over the whole
-  // query set (copies the sketch; the service owns its own).
+  // query set (the service freezes its own copy of the sketch).
   service::ServiceOptions sopts;
   sopts.num_threads = options.batch_threads;
   sopts.estimator = eopts;
-  auto service =
-      service::EstimationService::Create(core::TwigXSketch(sketch), sopts);
+  auto service = service::EstimationService::Create(sketch, sopts);
   XS_CHECK(service.ok());
   const auto batch = service.value()->EstimateBatch(queries);
 
@@ -196,8 +195,7 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   service::ServiceOptions topts = sopts;
   topts.trace_sample_rate = 1.0;
   topts.flight_recorder = true;
-  auto traced =
-      service::EstimationService::Create(core::TwigXSketch(sketch), topts);
+  auto traced = service::EstimationService::Create(sketch, topts);
   XS_CHECK(traced.ok());
   const auto traced_batch = traced.value()->EstimateBatch(queries);
 

@@ -4,21 +4,9 @@
 #include <cstdlib>
 #include <vector>
 
+#include "util/random.h"
+
 namespace xsketch::testing {
-
-namespace {
-
-// SplitMix64, the repo's standard deterministic mixer (testing/seed.cc,
-// service audit mask): the fire decision for hit k of a point armed with
-// seed s is a pure function of (s, k).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::atomic<int> FaultPoints::armed_count_{0};
 
@@ -61,8 +49,11 @@ bool FaultPoints::FireLocked(Point& point) {
   if (ordinal < cfg.skip) return false;
   if (cfg.max_fires != 0 && point.fires >= cfg.max_fires) return false;
   if (cfg.probability < 1.0) {
+    // A pure function of (seed, hit ordinal), like the service's audit
+    // mask, so a seeded run fires on the same hits every time.
     const double u =
-        static_cast<double>(Mix64(cfg.seed ^ ordinal) >> 11) * 0x1.0p-53;
+        static_cast<double>(util::SplitMix64(cfg.seed ^ ordinal) >> 11) *
+        0x1.0p-53;
     if (u >= cfg.probability) return false;
   }
   ++point.fires;

@@ -4,11 +4,10 @@
 // failure is reproducible from a single number. The base seed comes from
 // the XSKETCH_SEED environment variable when set; otherwise a fixed
 // default keeps runs deterministic (never std::random_device — an
-// unreproducible failure is a lost failure). SplitMix64 turns the base
-// seed into independent per-component streams: it is the standard
-// seed-sequence generator (Steele et al., "Fast Splittable Pseudorandom
-// Number Generators"), and its outputs are well-distributed even for
-// consecutive inputs, so `Derive(seed, i)` is safe for i = 0, 1, 2, ...
+// unreproducible failure is a lost failure). util::SplitMix64 turns the
+// base seed into independent per-component streams: its outputs are
+// well-distributed even for consecutive inputs, so `Derive(seed, i)` is
+// safe for i = 0, 1, 2, ...
 
 #ifndef XSKETCH_TESTING_SEED_H_
 #define XSKETCH_TESTING_SEED_H_
@@ -16,32 +15,17 @@
 #include <cstdint>
 #include <string>
 
+#include "util/random.h"
+
 namespace xsketch::testing {
-
-// One step of SplitMix64 over `state` (returned value is the output; the
-// caller owns the state increment).
-inline uint64_t SplitMix64(uint64_t state) {
-  uint64_t z = state + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-// Stateful SplitMix64 stream.
-class SplitMix {
- public:
-  explicit SplitMix(uint64_t seed) : state_(seed) {}
-  uint64_t Next() { return SplitMix64(state_++); }
-
- private:
-  uint64_t state_;
-};
 
 // An independent sub-seed for component `index` of a run seeded with
 // `base`. Distinct (base, index) pairs give statistically independent
 // streams.
 inline uint64_t Derive(uint64_t base, uint64_t index) {
-  return SplitMix64(SplitMix64(base) ^ SplitMix64(index * 0x9E3779B97F4A7C15ull + 1));
+  using util::SplitMix64;
+  return SplitMix64(SplitMix64(base) ^
+                    SplitMix64(index * 0x9E3779B97F4A7C15ull + 1));
 }
 
 // The base seed for this test process: the value of $XSKETCH_SEED when it

@@ -8,21 +8,16 @@ namespace xsketch::util {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(sm);
+  // The canonical SplitMix64 stream: output i mixes seed + (i + 1) * gamma.
+  for (auto& s : s_) {
+    s = SplitMix64(seed);
+    seed += 0x9E3779B97F4A7C15ull;
+  }
 }
 
 uint64_t Rng::Next() {

@@ -4,6 +4,10 @@
 // std::mt19937 + std::distribution — bit-for-bit reproducible across
 // standard library implementations, which matters because the synthetic
 // data sets double as test fixtures.
+//
+// SplitMix64 is the tree's one 64-bit mixer: Rng seeding, the service's
+// audit and trace sampling masks, faultpoint fire decisions, test seed
+// derivation and the fuzz driver's mutation stream all call it.
 
 #ifndef XSKETCH_UTIL_RANDOM_H_
 #define XSKETCH_UTIL_RANDOM_H_
@@ -12,6 +16,18 @@
 #include <vector>
 
 namespace xsketch::util {
+
+// One SplitMix64 output for `state` (Steele et al., "Fast Splittable
+// Pseudorandom Number Generators"): the golden-gamma step plus the
+// variant-13 finalizer. Pure; a caller that wants a stream owns the state
+// and its increment. Outputs are well distributed even for consecutive
+// inputs, so SplitMix64(seed ^ i) is a deterministic per-index coin.
+inline uint64_t SplitMix64(uint64_t state) {
+  uint64_t z = state + 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 class Rng {
  public:

@@ -34,7 +34,8 @@
 //               post-mortems)
 //   util::      Status / Result, ThreadPool
 // These are the extension points; api:: is sugar over them, and handles
-// from the two tiers interoperate (Session exposes its service/estimator).
+// from the two tiers interoperate (Session exposes its service, and the
+// sketch it was opened from when it has one).
 //
 // Tier 3 — everything under src/ NOT reachable from this header (hist/,
 // cst/, synopsis internals, util/simd.h): implementation detail, no
@@ -124,34 +125,38 @@ class PreparedQuery {
   std::shared_ptr<const core::CompiledTwig> plan_;
 };
 
-// One synopsis opened for querying: owns the sketch, the frozen synopsis,
-// the compiler with its cross-query expansion cache, the LRU plan cache,
-// and the batch thread pool (all via the underlying EstimationService).
-// Copyable shared handle; all methods are const and thread-safe.
+// One synopsis opened for querying: the underlying EstimationService owns
+// the frozen synopsis, the compiler with its cross-query expansion cache,
+// the LRU plan cache and the batch thread pool. A session opened from a
+// TwigXSketch also keeps the sketch and one reference interpreter beside
+// the service, for Explain. Copyable shared handle; all methods are const
+// and thread-safe.
 class Session {
  public:
-  // Takes ownership of `sketch`. Options default to compiled execution
-  // with hardware-concurrency batching; see service::ServiceOptions.
+  // Takes ownership of `sketch`; its document must outlive the session.
+  // Options default to hardware-concurrency batching; see
+  // service::ServiceOptions.
   static util::Result<Session> Open(core::TwigXSketch sketch,
                                     const service::ServiceOptions& options =
                                         {}) {
-    auto svc = service::EstimationService::Create(std::move(sketch), options);
+    auto svc = service::EstimationService::Create(sketch, options);
     if (!svc.ok()) return svc.status();
-    return Session(std::shared_ptr<service::EstimationService>(
-        std::move(svc).value()));
+    return Session(std::move(svc).value(),
+                   std::make_shared<const Reference>(std::move(sketch),
+                                                     options.estimator));
   }
 
   // Opens a session over an already-frozen synopsis — typically one
-  // mmap-loaded from an XSK3 file. The session has no source document or
-  // interpreter: Explain and audit mode are unavailable, everything else
-  // (Prepare / Execute / ExecuteBatch) is bit-identical to the heap path.
+  // mmap-loaded from an XSK3 file. The image carries no sketch and no
+  // source document, so Explain and audit mode are unavailable; everything
+  // else (Prepare / Execute / ExecuteBatch) is bit-identical to a session
+  // opened from the sketch.
   static util::Result<Session> Open(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
       const service::ServiceOptions& options = {}) {
     auto svc = service::EstimationService::Create(std::move(frozen), options);
     if (!svc.ok()) return svc.status();
-    return Session(std::shared_ptr<service::EstimationService>(
-        std::move(svc).value()));
+    return Session(std::move(svc).value(), nullptr);
   }
 
   // mmap an XSK3 sketch file and open a frozen-only session over it. The
@@ -214,29 +219,40 @@ class Session {
   // Full explain trace of one estimate, via the reference interpreter
   // (the trace records every E/U/D term; trace->estimate() and the
   // returned estimate are bit-identical to the compiled path's output).
-  // Unavailable on frozen-only sessions (no interpreter).
+  // Unavailable on sessions opened from a frozen image, which carries no
+  // sketch to interpret.
   util::Result<core::EstimateStats> Explain(const query::TwigQuery& twig,
                                             obs::ExplainTrace* trace) const {
-    if (!service_->has_sketch()) {
+    if (reference_ == nullptr) {
       return util::Status::InvalidArgument(
-          "Explain needs the reference interpreter; this session was "
-          "opened from a frozen (XSK3) sketch");
+          "Explain needs the sketch; this session was opened from a frozen "
+          "(XSK3) image, which carries none");
     }
     if (util::Status st = twig.Validate(); !st.ok()) return st;
-    return service_->estimator().EstimateWithTrace(twig, trace);
+    return reference_->estimator.EstimateWithTrace(twig, trace);
   }
 
   // Tier-2 interop. sketch() may only be called when has_sketch() is
   // true (sessions opened from a TwigXSketch, not from a frozen image).
-  bool has_sketch() const { return service_->has_sketch(); }
-  const core::TwigXSketch& sketch() const { return service_->sketch(); }
+  bool has_sketch() const { return reference_ != nullptr; }
+  const core::TwigXSketch& sketch() const { return reference_->sketch; }
   const service::EstimationService& service() const { return *service_; }
 
  private:
-  explicit Session(std::shared_ptr<service::EstimationService> service)
-      : service_(std::move(service)) {}
+  // The sketch a session was opened from, with its reference interpreter.
+  struct Reference {
+    Reference(core::TwigXSketch s, const core::EstimatorOptions& options)
+        : sketch(std::move(s)), estimator(sketch, options) {}
+    core::TwigXSketch sketch;
+    core::Estimator estimator;  // references `sketch`, declared after it
+  };
+
+  Session(std::shared_ptr<service::EstimationService> service,
+          std::shared_ptr<const Reference> reference)
+      : service_(std::move(service)), reference_(std::move(reference)) {}
 
   std::shared_ptr<service::EstimationService> service_;
+  std::shared_ptr<const Reference> reference_;  // null for frozen images
 };
 
 }  // namespace v1

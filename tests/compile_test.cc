@@ -401,7 +401,7 @@ TEST(CompiledTwigTest, TruncatedPathLengthCapMatchesEstimator) {
 TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  auto svc = service::EstimationService::Create(std::move(sketch), {});
+  auto svc = service::EstimationService::Create(sketch, {});
   ASSERT_TRUE(svc.ok());
 
   auto q = query::ParsePath("//author/paper", doc.tags());
@@ -423,7 +423,7 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;
   opts.plan_cache_capacity = 2;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
 
   const char* paths[] = {"//author", "//paper", "//book"};
@@ -462,7 +462,7 @@ TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;
   opts.plan_cache_capacity = 0;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
 
   auto q = query::ParsePath("//author/paper", doc.tags());
@@ -494,7 +494,7 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
 
   service::ServiceOptions opts;
   opts.plan_cache_capacity = 8;  // far fewer slots than distinct shapes
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
 
   constexpr int kThreads = 8;

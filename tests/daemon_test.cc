@@ -624,5 +624,40 @@ TEST_F(DaemonTest, HotSwapWhileServing) {
   EXPECT_NE(still.body.find("\"generation\":2"), std::string::npos);
 }
 
+TEST_F(DaemonTest, BudgetEvictionReleasesTheEvictedSketch) {
+  // A one-byte budget keeps only the newest sketch, so adding a second doc
+  // evicts "bib". Its cached service must not keep the mapping alive.
+  daemon::DaemonOptions options;
+  options.catalog_byte_budget = 1;
+  StartDaemon(std::move(options));
+  auto est = HttpRoundTrip(port(), "POST", "/estimate",
+                           R"({"doc":"bib","query":"//book"})");
+  ASSERT_EQ(est.status, 200) << est.body;
+  std::weak_ptr<const core::FrozenSynopsis> bib;
+  {
+    auto handle = daemon_->catalog().Get("bib");
+    ASSERT_TRUE(handle.ok());
+    bib = handle.value().frozen_ptr();
+  }
+
+  ASSERT_TRUE(daemon_->AddSketch("other", *sketch_path_).ok());
+  EXPECT_FALSE(daemon_->catalog().Get("bib").ok());
+  // The worker that answered may still be unwinding its references.
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (!bib.expired() && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(bib.expired()) << "use_count " << bib.use_count();
+
+  EXPECT_EQ(HttpRoundTrip(port(), "POST", "/estimate",
+                          R"({"doc":"bib","query":"//book"})")
+                .status,
+            404);
+  EXPECT_EQ(HttpRoundTrip(port(), "POST", "/estimate",
+                          R"({"doc":"other","query":"//book"})")
+                .status,
+            200);
+}
+
 }  // namespace
 }  // namespace xsketch

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "comma_locale.h"
 #include "net/http.h"
 #include "net/json.h"
 #include "net/wire.h"
@@ -154,6 +155,36 @@ TEST(JsonTest, IntegralNumbersRenderWithoutExponent) {
   std::string out;
   AppendJsonNumber(&out, 100.0);
   EXPECT_EQ(out, "100");
+}
+
+// Number tokens whose parsed value must not change: the parser reads
+// them as strtod does in the C locale, including the leading '+' and the
+// underflow to zero that std::from_chars would reject.
+void ExpectPinnedNumberTokens() {
+  const struct {
+    const char* text;
+    double value;
+  } cases[] = {{"+1", 1.0},  {"1e-400", 0.0}, {"-0", -0.0},
+               {".5", 0.5},  {"1E+2", 100.0}, {"0.5", 0.5}};
+  for (const auto& c : cases) {
+    auto v = ParseJson(c.text);
+    ASSERT_TRUE(v.ok()) << c.text << ": " << v.status().ToString();
+    EXPECT_EQ(Bits(v.value().number_value()), Bits(c.value)) << c.text;
+  }
+  EXPECT_FALSE(ParseJson("1e400").ok());  // overflows to infinity
+}
+
+TEST(JsonTest, NumberTokensParseAsInTheCLocale) { ExpectPinnedNumberTokens(); }
+
+TEST(JsonTest, NumbersIgnoreCommaDecimalLocale) {
+  // A host program's setlocale must not make a request body's 0.5 a
+  // parse error.
+  CommaDecimalLocale comma;
+  if (!comma.ok()) GTEST_SKIP() << "no comma-decimal locale installed";
+  ExpectPinnedNumberTokens();
+  auto v = ParseJson(R"({"deadline_ms":2.5})");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v.value().FindNumber("deadline_ms"), 2.5);
 }
 
 // --- HTTP ----------------------------------------------------------------

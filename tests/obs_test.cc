@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <clocale>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "comma_locale.h"
 #include "core/estimator.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
@@ -152,30 +152,6 @@ TEST(MetricsTest, PrometheusExpositionGoldenLayout) {
       "size_bytes 17\n";
   EXPECT_EQ(reg.ToPrometheusText(), golden);
 }
-
-// Switches LC_NUMERIC to an installed comma-decimal locale for the
-// object's lifetime; ok() is false when none is installed.
-class CommaDecimalLocale {
- public:
-  CommaDecimalLocale() : saved_(std::setlocale(LC_NUMERIC, nullptr)) {
-    for (const char* name :
-         {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
-          "fr_FR", "nl_NL.UTF-8", "es_ES.UTF-8", "ru_RU.UTF-8"}) {
-      if (std::setlocale(LC_NUMERIC, name) != nullptr &&
-          std::string(std::localeconv()->decimal_point) == ",") {
-        ok_ = true;
-        return;
-      }
-    }
-    std::setlocale(LC_NUMERIC, saved_.c_str());
-  }
-  ~CommaDecimalLocale() { std::setlocale(LC_NUMERIC, saved_.c_str()); }
-  bool ok() const { return ok_; }
-
- private:
-  std::string saved_;
-  bool ok_ = false;
-};
 
 TEST(LocaleTest, NumberTextIgnoresCommaDecimalLocale) {
   // /metrics, flight records, explain traces and Chrome traces are read
@@ -436,7 +412,7 @@ TEST(MetricsConcurrencyTest, AuditModeBatchSharedRegistry) {
   opts.num_threads = 8;
   opts.audit_fraction = 0.5;
   opts.audit_seed = 3;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -451,7 +427,7 @@ TEST(MetricsConcurrencyTest, AuditModeBatchSharedRegistry) {
   std::atomic<bool> stop{false};
   std::thread snapshotter([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const auto cache = svc.value()->estimator().path_cache_counters();
+      const auto cache = svc.value()->compiler().path_cache_counters();
       EXPECT_LE(cache.hits, cache.lookups);
       for (const auto& s : reg.Snapshot()) {
         if (s.kind == obs::MetricsRegistry::Kind::kHistogram) {

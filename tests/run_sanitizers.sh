@@ -28,10 +28,14 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # over a shared immutable StreamIndex — ASan checks the range probes);
 # plan_test hammers Session::Plan and Prepare from concurrent threads
 # (the planner's cardinality calls ride the service's LRU plan cache,
-# the same shared state compile_test covers, now under a second caller).
+# the same shared state compile_test covers, now under a second caller);
+# xsk3_test covers the Session that owns its sketch and reference
+# interpreter beside the service, the mmap-backed catalog and its hot
+# swap; net_test drives the JSON number parser and the HTTP and XSKB
+# parsers over hostile bytes.
 TARGETS=(service_test estimator_test builder_test obs_test trace_test
          compile_test faultpoints_test daemon_test exec_test plan_test
-         differential_test)
+         differential_test xsk3_test net_test)
 MODES=("${@:-thread address}")
 
 for MODE in ${MODES[@]}; do

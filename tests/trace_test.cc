@@ -369,7 +369,7 @@ TEST_F(TraceTest, ServiceRateZeroRecordsNothing) {
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;  // trace_sample_rate defaults to 0
   opts.num_threads = 2;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
   const auto results = svc.value()->EstimateBatch(BibQueries(doc));
   for (const auto& r : results) EXPECT_TRUE(r.ok());
@@ -405,7 +405,7 @@ TEST_F(TraceTest, InvalidSampleRateRejected) {
   service::ServiceOptions opts;
   opts.trace_sample_rate = 1.5;
   EXPECT_FALSE(
-      service::EstimationService::Create(std::move(sketch), opts).ok());
+      service::EstimationService::Create(sketch, opts).ok());
 }
 
 // --- Flight recorder ---------------------------------------------------------
@@ -627,7 +627,7 @@ TEST_F(TraceTest, BatchLatencyExemplarLinksToTrace) {
   service::ServiceOptions opts;
   opts.num_threads = 2;
   opts.trace_sample_rate = 1.0;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
 
   obs::Histogram& lat = obs::MetricsRegistry::Default().GetHistogram(
