@@ -76,6 +76,10 @@ curl -fsS "http://127.0.0.1:$PORT/healthz" | grep -q '"status":"ok"' ||
 curl -fsS -X POST "http://127.0.0.1:$PORT/estimate" \
      -d '{"doc":"bib","query":"//book"}' | grep -q '"estimate":' ||
   { echo "ci_check: estimate failed" >&2; exit 1; }
+# A sketch's service spawns its batch pool on its first batch.
+curl -fsS -X POST "http://127.0.0.1:$PORT/batch" \
+     -d '{"doc":"bib","queries":["//book","//book/author"]}' |
+  grep -q '"results":' || { echo "ci_check: batch failed" >&2; exit 1; }
 kill -TERM "$DAEMON_PID"
 DAEMON_STATUS=0
 wait "$DAEMON_PID" || DAEMON_STATUS=$?
@@ -85,6 +89,14 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
 grep -q '^drained:' "$SMOKE_DIR/daemon.err" ||
   { echo "ci_check: daemon did not report a clean drain" >&2; exit 1; }
 echo "daemon smoke: clean drain ($(grep '^drained:' "$SMOKE_DIR/daemon.err"))"
+
+echo "=== repeated suites: state that outlives a test ==="
+# Each ctest case runs in its own process; repeating the daemon and XSK3
+# suites in one process catches counters, files and threads a test leaves
+# behind for the next.
+for t in daemon_test xsk3_test; do
+  "$BUILD/tests/$t" --gtest_repeat=3 --gtest_brief=1
+done
 
 echo "=== bench gates: bench_trace (tracing overhead) + bench_delta ==="
 [ -x "$BUILD/bench/perf_batch" ] ||

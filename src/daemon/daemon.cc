@@ -1,6 +1,8 @@
 #include "daemon/daemon.h"
 
+#include <charconv>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -85,6 +87,33 @@ net::ServerResponse ErrorResponse(const util::Status& s, bool binary) {
   return HttpError(HttpStatusFor(s), s.message());
 }
 
+// An HTTP request's relative deadline in ms (0 = none): the JSON
+// "deadline_ms" field when positive, else the X-Deadline-Ms header. Both
+// must lie in the XSKB frame field's range, [0, 2^32 - 1]: the field as a
+// number (fractions truncate), the header as a plain decimal integer.
+util::Result<uint32_t> HttpDeadlineMs(const net::JsonValue& body,
+                                      const net::HttpRequest& request) {
+  constexpr double kMaxMs = std::numeric_limits<uint32_t>::max();
+  uint32_t header_ms = 0;
+  if (const std::string* h = request.Header("x-deadline-ms"); h != nullptr) {
+    const char* end = h->data() + h->size();
+    const auto [ptr, ec] = std::from_chars(h->data(), end, header_ms);
+    if (ec != std::errc() || ptr != end) {
+      return util::Status::InvalidArgument(
+          "X-Deadline-Ms must be a decimal integer in [0, 4294967295]");
+    }
+  }
+  const net::JsonValue* field = body.Find("deadline_ms");
+  if (field == nullptr) return header_ms;
+  if (field->kind() != net::JsonValue::Kind::kNumber ||
+      !(field->number_value() >= 0.0 && field->number_value() <= kMaxMs)) {
+    return util::Status::InvalidArgument(
+        "'deadline_ms' must be a number in [0, 4294967295]");
+  }
+  const auto field_ms = static_cast<uint32_t>(field->number_value());
+  return field_ms > 0 ? field_ms : header_ms;
+}
+
 }  // namespace
 
 util::Status DaemonOptions::Validate() const {
@@ -139,6 +168,7 @@ util::Result<std::unique_ptr<Daemon>> Daemon::Create(DaemonOptions options) {
 
   service::CatalogOptions catalog_options;
   catalog_options.byte_budget = daemon->options_.catalog_byte_budget;
+  catalog_options.service.num_threads = daemon->options_.batch_threads;
   auto catalog = service::SketchCatalog::Create(catalog_options);
   if (!catalog.ok()) return catalog.status();
   daemon->catalog_ = std::move(catalog).value();
@@ -170,24 +200,7 @@ void Daemon::Run() { server_->Run(); }
 
 util::Status Daemon::AddSketch(const std::string& doc_id,
                                const std::string& path) {
-  std::vector<std::string> dropped_docs;
-  auto handle = catalog_->Put(doc_id, path, &dropped_docs);
-  if (!handle.ok()) return handle.status();
-  dropped_docs.push_back(doc_id);
-  // Drop the cached services of the swapped doc and the evicted ones: the
-  // next request for a swapped doc builds one against the new generation.
-  // In-flight requests keep the old service (and its pinned mapping)
-  // alive through their shared_ptr. The last reference joins the
-  // service's batch pool, so the entries are destroyed after services_mu_
-  // is released.
-  std::vector<decltype(services_)::node_type> dropped;
-  {
-    std::lock_guard<std::mutex> lock(services_mu_);
-    for (const std::string& id : dropped_docs) {
-      dropped.push_back(services_.extract(id));
-    }
-  }
-  return util::Status::OK();
+  return catalog_->Put(doc_id, path).status();
 }
 
 Daemon::Stats Daemon::stats() const {
@@ -199,49 +212,10 @@ Daemon::Stats Daemon::stats() const {
   return s;
 }
 
-util::Result<std::shared_ptr<service::EstimationService>> Daemon::ServiceFor(
-    const std::string& doc_id, uint64_t* generation_out) {
-  auto handle = catalog_->Get(doc_id);
-  if (!handle.ok()) return handle.status();
-  const uint64_t generation = handle.value().generation();
-  if (generation_out != nullptr) *generation_out = generation;
-  {
-    std::lock_guard<std::mutex> lock(services_mu_);
-    auto it = services_.find(doc_id);
-    if (it != services_.end() && it->second.generation == generation) {
-      return it->second.service;
-    }
-  }
-  // Build outside the lock: construction spawns the service's batch pool
-  // and must not serialize other docs' lookups. A racing thread may build
-  // a duplicate; last insert wins and the loser's service just dies with
-  // its shared_ptr.
-  service::ServiceOptions service_options;
-  service_options.num_threads = options_.batch_threads;
-  service_options.sketch_generation = generation;
-  auto service = service::EstimationService::Create(
-      handle.value().frozen_ptr(), service_options);
-  if (!service.ok()) return service.status();
-  std::shared_ptr<service::EstimationService> shared =
-      std::move(service).value();
-  std::shared_ptr<service::EstimationService> replaced;  // dies after unlock
-  std::lock_guard<std::mutex> lock(services_mu_);
-  // An AddSketch that swapped or evicted doc_id since the Get above has
-  // already cleared its entry. Caching this generation now would pin the
-  // old mapping until the doc is added again, so this request keeps the
-  // service to itself.
-  if (catalog_->CurrentGeneration(doc_id) == generation) {
-    CachedService& cached = services_[doc_id];
-    cached.generation = generation;
-    replaced = std::exchange(cached.service, shared);
-  }
-  return shared;
-}
-
 std::optional<Clock::time_point> Daemon::DeadlineFrom(
-    uint64_t deadline_ms) const {
+    uint32_t deadline_ms) const {
   if (deadline_ms == 0 && options_.default_deadline_ms > 0) {
-    deadline_ms = static_cast<uint64_t>(options_.default_deadline_ms);
+    deadline_ms = static_cast<uint32_t>(options_.default_deadline_ms);
   }
   if (deadline_ms == 0) return std::nullopt;
   return Clock::now() + std::chrono::milliseconds(deadline_ms);
@@ -339,16 +313,14 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     return;
   }
 
-  // Deadline: JSON field beats the X-Deadline-Ms header.
-  uint64_t deadline_ms = 0;
-  if (const double* v = body.FindNumber("deadline_ms");
-      v != nullptr && *v > 0) {
-    deadline_ms = static_cast<uint64_t>(*v);
-  } else if (const std::string* h = request.Header("x-deadline-ms");
-             h != nullptr) {
-    deadline_ms = static_cast<uint64_t>(std::strtoull(h->c_str(), nullptr, 10));
+  const util::Result<uint32_t> deadline_ms = HttpDeadlineMs(body, request);
+  if (!deadline_ms.ok()) {
+    metrics_.errors.Increment();
+    responder.Send(HttpError(400, deadline_ms.status().message()));
+    return;
   }
-  const std::optional<Clock::time_point> deadline = DeadlineFrom(deadline_ms);
+  const std::optional<Clock::time_point> deadline =
+      DeadlineFrom(deadline_ms.value());
 
   if (request.path == "/batch") {
     const net::JsonValue* queries = body.Find("queries");
@@ -463,20 +435,19 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
         binary));
     return;
   }
-  uint64_t generation = 0;
-  auto service = ServiceFor(doc, &generation);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors.Increment();
-    responder.Send(ErrorResponse(service.status(), binary));
+    responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
-  auto twig = ParseQueryText(query, service.value()->tags());
+  auto twig = ParseQueryText(query, handle.value().frozen().tags());
   if (!twig.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), binary));
     return;
   }
-  auto plan = service.value()->Prepare(twig.value());
+  auto plan = handle.value().Prepare(twig.value());
   if (!plan.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), binary));
@@ -496,7 +467,8 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
     net::AppendJsonNumber(&resp.body, estimate);
     resp.body += ",\"doc\":";
     net::AppendJsonString(&resp.body, doc);
-    resp.body += ",\"generation\":" + std::to_string(generation) + "}\n";
+    resp.body += ",\"generation\":" +
+                 std::to_string(handle.value().generation()) + "}\n";
   }
   responder.Send(std::move(resp));
 }
@@ -517,12 +489,13 @@ void Daemon::HandleBatch(const std::string& doc,
         binary));
     return;
   }
-  auto service = ServiceFor(doc);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors.Increment();
-    responder.Send(ErrorResponse(service.status(), binary));
+    responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
+  service::EstimationService& service = *handle.value().service();
 
   // Parse failures become per-query errors, exactly like the service's
   // own validation: one bad query never sinks the batch.
@@ -531,7 +504,7 @@ void Daemon::HandleBatch(const std::string& doc,
   std::vector<util::Status> parse_errors(queries.size(), util::Status::OK());
   std::vector<size_t> twig_index(queries.size(), SIZE_MAX);
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto twig = ParseQueryText(queries[i], service.value()->tags());
+    auto twig = ParseQueryText(queries[i], service.tags());
     if (twig.ok()) {
       twig_index[i] = twigs.size();
       twigs.push_back(std::move(twig).value());
@@ -543,7 +516,7 @@ void Daemon::HandleBatch(const std::string& doc,
   service::BatchStats stats;
   std::vector<util::Result<core::EstimateStats>> results;
   if (!twigs.empty()) {
-    results = service.value()->EstimateBatch(twigs, &stats, deadline);
+    results = service.EstimateBatch(twigs, &stats, deadline);
   }
 
   metrics_.handler_us->Observe(
@@ -622,20 +595,19 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   if (const int ms = XS_FAULT_DELAY_MS("daemon.slow_handler"); ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
-  uint64_t generation = 0;
-  auto service = ServiceFor(doc, &generation);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors.Increment();
-    responder.Send(ErrorResponse(service.status(), /*binary=*/false));
+    responder.Send(ErrorResponse(handle.status(), /*binary=*/false));
     return;
   }
-  auto twig = ParseQueryText(query, service.value()->tags());
+  auto twig = ParseQueryText(query, handle.value().frozen().tags());
   if (!twig.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), /*binary=*/false));
     return;
   }
-  auto plan = service.value()->Prepare(twig.value());
+  auto plan = handle.value().Prepare(twig.value());
   if (!plan.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));
@@ -647,7 +619,7 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   net::AppendJsonNumber(&body, stats.estimate);
   body += ",\"doc\":";
   net::AppendJsonString(&body, doc);
-  body += ",\"generation\":" + std::to_string(generation);
+  body += ",\"generation\":" + std::to_string(handle.value().generation());
   body += ",\"terms\":{";
   body += "\"covered\":" + std::to_string(stats.covered_terms);
   body += ",\"uniformity\":" + std::to_string(stats.uniformity_terms);

@@ -1,5 +1,7 @@
-// The estimation daemon: SketchCatalog + compiled-plan EstimationService
-// behind the net/ event-loop server.
+// The estimation daemon: a SketchCatalog of XSK3 sketches behind the net/
+// event-loop server. Each handler serves the EstimationService of the
+// generation that catalog_->Get(doc) returns; the catalog creates one
+// service per generation, so the daemon keeps no serving state of its own.
 //
 // Request flow: the server's loop thread parses a request and hands it to
 // Daemon::Dispatch, which only routes. Cheap read-only endpoints
@@ -9,11 +11,13 @@
 // binary NACK kOverload — never queued into memory, never silently
 // dropped. Deadlines (X-Deadline-Ms header, JSON "deadline_ms", or the
 // binary frame field; falling back to DaemonOptions::default_deadline_ms)
-// become an absolute steady-clock cutoff at admission; requests that
-// expire in the queue answer 504 without touching a sketch, and batch
-// deadlines propagate into EstimateBatch's chunk boundaries so a
-// too-slow batch returns partial results plus an explicit
-// deadline_exceeded marker.
+// are whole milliseconds in the frame field's range [0, 2^32 - 1] — an
+// HTTP deadline outside it, or a header that is not a plain decimal
+// integer, answers 400 — and become an absolute steady-clock cutoff at
+// admission; requests that expire in the queue answer 504 without
+// touching a sketch, and batch deadlines propagate into EstimateBatch's
+// chunk boundaries so a too-slow batch returns partial results plus an
+// explicit deadline_exceeded marker.
 //
 // HTTP endpoints (JSON in/out):
 //   GET  /healthz            -> {"status":"ok"|"draining", ...}
@@ -33,10 +37,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,10 +98,9 @@ class Daemon {
   bool draining() const { return server_->draining(); }
 
   // Hot swap / add: catalog Put. In-flight queries on the old generation
-  // finish on it; new requests see the new one. The cached services of
-  // the swapped doc and of every doc the catalog budget evicted are
-  // dropped, so their mappings and batch pools go once in-flight requests
-  // finish.
+  // finish on it; new requests see the new one. A swapped or evicted
+  // generation's mapping, compiler and batch pool go once in-flight
+  // requests drop its handle.
   util::Status AddSketch(const std::string& doc_id, const std::string& path);
 
   net::Server& server() { return *server_; }
@@ -141,27 +142,12 @@ class Daemon {
   void HandleExplain(const std::string& doc, const std::string& query,
                      net::Responder responder);
 
-  // The per-(doc, generation) service for the catalog's current
-  // generation of `doc_id`, creating it on first use. Only a generation
-  // the catalog still holds is cached; old generations leave the cache
-  // (in-flight holders keep theirs alive via shared_ptr).
-  util::Result<std::shared_ptr<service::EstimationService>> ServiceFor(
-      const std::string& doc_id, uint64_t* generation_out = nullptr);
-
   // Absolute deadline from a relative ms field (0 = fall back to the
   // configured default; both 0 = none).
-  std::optional<Clock::time_point> DeadlineFrom(uint64_t deadline_ms) const;
+  std::optional<Clock::time_point> DeadlineFrom(uint32_t deadline_ms) const;
 
   const DaemonOptions options_;
   std::unique_ptr<service::SketchCatalog> catalog_;
-
-  // Taken before the catalog's own mutex when both are held.
-  std::mutex services_mu_;
-  struct CachedService {
-    uint64_t generation = 0;
-    std::shared_ptr<service::EstimationService> service;
-  };
-  std::unordered_map<std::string, CachedService> services_;
 
   // One request-path event: the process-wide registry counter plus this
   // daemon's own count for stats(), one relaxed increment each.
@@ -184,8 +170,8 @@ class Daemon {
   Metrics metrics_;
 
   // Destruction order matters: workers hold Responders into server_ and
-  // shared_ptrs into services_/catalog_, so the pool (declared last) is
-  // destroyed/joined first.
+  // handles from catalog_, so the pool (declared last) is destroyed/joined
+  // first.
   std::unique_ptr<net::Server> server_;
   std::unique_ptr<util::ThreadPool> pool_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -26,29 +25,6 @@ using internal::g_thread_ctx;
 // Tracer; only member functions (which have access) cast it.
 thread_local void* g_thread_ring = nullptr;
 
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-constexpr size_t kBinarySpanBytes = 6 * 8 + 4 + 1;  // 57
-constexpr char kBinaryMagic[4] = {'X', 'T', 'R', '1'};
-
 }  // namespace
 
 const char* StageName(Stage stage) {
@@ -58,7 +34,6 @@ const char* StageName(Stage stage) {
     case Stage::kCompile: return "compile";
     case Stage::kPlanCache: return "plan_cache";
     case Stage::kExecute: return "execute";
-    case Stage::kInterpret: return "interpret";
     case Stage::kAudit: return "audit";
     case Stage::kBatch: return "batch";
     case Stage::kBatchChunk: return "batch_chunk";
@@ -232,61 +207,6 @@ std::string Tracer::ToChromeJson(const std::vector<Span>& spans) {
     out += buf;
   }
   out += "]}";
-  return out;
-}
-
-std::string Tracer::ToBinary(const std::vector<Span>& spans) {
-  std::string out;
-  out.reserve(8 + spans.size() * kBinarySpanBytes);
-  out.append(kBinaryMagic, sizeof(kBinaryMagic));
-  PutU32(out, static_cast<uint32_t>(spans.size()));
-  for (const Span& s : spans) {
-    PutU64(out, s.trace_id);
-    PutU64(out, s.span_id);
-    PutU64(out, s.parent_id);
-    PutU64(out, s.start_ns);
-    PutU64(out, s.dur_ns);
-    PutU64(out, s.arg);
-    PutU32(out, s.tid);
-    out.push_back(static_cast<char>(s.stage));
-  }
-  return out;
-}
-
-util::Result<std::vector<Span>> Tracer::FromBinary(std::string_view bytes) {
-  if (bytes.size() < 8 ||
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return util::Status::InvalidArgument(
-        "trace dump: missing XTR1 magic header");
-  }
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(bytes.data());
-  const uint32_t count = GetU32(p + 4);
-  const size_t need = 8 + static_cast<size_t>(count) * kBinarySpanBytes;
-  if (bytes.size() != need) {
-    return util::Status::InvalidArgument(
-        "trace dump: size " + std::to_string(bytes.size()) +
-        " does not match span count " + std::to_string(count));
-  }
-  std::vector<Span> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const unsigned char* rec = p + 8 + i * kBinarySpanBytes;
-    Span s;
-    s.trace_id = GetU64(rec);
-    s.span_id = GetU64(rec + 8);
-    s.parent_id = GetU64(rec + 16);
-    s.start_ns = GetU64(rec + 24);
-    s.dur_ns = GetU64(rec + 32);
-    s.arg = GetU64(rec + 40);
-    s.tid = GetU32(rec + 48);
-    if (rec[52] >= kStageCount) {
-      return util::Status::InvalidArgument(
-          "trace dump: unknown stage id " + std::to_string(rec[52]));
-    }
-    s.stage = static_cast<Stage>(rec[52]);
-    out.push_back(s);
-  }
   return out;
 }
 

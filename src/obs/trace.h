@@ -30,10 +30,9 @@
 // (service::ServiceOptions::trace_sample_rate) are built on. An unsampled
 // TraceContext turns every SpanScope under it into the no-op path.
 //
-// Exports: Chrome trace_event JSON (load into chrome://tracing or
-// Perfetto) and a compact fixed-width binary dump, both stability tier
-// "diagnostic" — field additions allowed, field meanings stable (see
-// DESIGN.md §11).
+// Export: Chrome trace_event JSON (load into chrome://tracing or
+// Perfetto), stability tier "diagnostic" — field additions allowed, field
+// meanings stable (see DESIGN.md §11).
 
 #ifndef XSKETCH_OBS_TRACE_H_
 #define XSKETCH_OBS_TRACE_H_
@@ -44,24 +43,20 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "util/status.h"
 
 namespace xsketch::obs {
 
 class Counter;  // obs/metrics.h
 
-// Span taxonomy of the serving path (DESIGN.md §11). Values are part of
-// the binary dump format: append new stages, never renumber.
+// Span taxonomy of the serving path (DESIGN.md §11). Exports carry stage
+// names, not values.
 enum class Stage : uint8_t {
   kQuery = 0,        // end-to-end root of one estimate request
   kParse,            // xpath/for-clause text -> TwigQuery
   kCompile,          // TwigCompiler::Compile (lowering)
   kPlanCache,        // service plan-cache lookup (arg: 1 hit / 0 miss)
   kExecute,          // compiled program execution
-  kInterpret,        // reference-interpreter estimate (no longer emitted)
   kAudit,            // exact-evaluator accuracy audit of one query
   kBatch,            // EstimateBatch root (arg: query count)
   kBatchChunk,       // one thread-pool task of a batch (arg: chunk size)
@@ -71,7 +66,7 @@ enum class Stage : uint8_t {
   kCatalogMmap,      // mmap + validation inside a Put (arg: frozen bytes)
   kCatalogSwap,      // generation install under the catalog lock
 };
-inline constexpr int kStageCount = 14;
+inline constexpr int kStageCount = 13;
 const char* StageName(Stage stage);
 
 // One completed span. start_ns is monotonic, measured from the process
@@ -144,10 +139,6 @@ class Tracer {
   // Chrome trace_event JSON ("traceEvents" array of complete "X" events,
   // timestamps in microseconds): chrome://tracing / Perfetto compatible.
   static std::string ToChromeJson(const std::vector<Span>& spans);
-  // Compact binary dump: "XTR1" magic, LE u32 span count, then one
-  // 57-byte LE record per span. Round-trips through FromBinary.
-  static std::string ToBinary(const std::vector<Span>& spans);
-  static util::Result<std::vector<Span>> FromBinary(std::string_view bytes);
 
  private:
   friend class SpanScope;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -125,8 +124,9 @@ EstimationService::EstimationService(
       frozen_(std::move(frozen)),
       compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
                                                            options.estimator)),
-      pool_(options.num_threads > 0 ? options.num_threads
-                                    : util::ThreadPool::HardwareThreads()) {
+      num_threads_(options.num_threads > 0
+                       ? options.num_threads
+                       : util::ThreadPool::HardwareThreads()) {
   if (options_.audit_fraction > 0.0) {
     exact_ = std::make_unique<query::ExactEvaluator>(*doc);
   }
@@ -365,20 +365,18 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
 
   size_t chunk = options_.chunk_size > 0
                      ? static_cast<size_t>(options_.chunk_size)
-                     : n / (static_cast<size_t>(pool_.num_threads()) * 4);
+                     : n / (static_cast<size_t>(num_threads_) * 4);
   chunk = std::max<size_t>(1, chunk);
 
-  std::mutex done_mu;
-  std::condition_variable all_done;
-  size_t pending = 0;
-  for (size_t begin = 0; begin < n; begin += chunk) ++pending;
-
+  std::call_once(pool_once_, [this] {
+    pool_ = std::make_unique<util::ThreadPool>(num_threads_);
+  });
+  util::TaskGroup chunks(pool_.get());
   const obs::TraceContext chunk_ctx = batch_span.context();
   for (size_t begin = 0; begin < n; begin += chunk) {
     const size_t end = std::min(n, begin + chunk);
-    pool_.Submit([this, queries, begin, end, chunk_ctx, deadline, &staged,
-                  &latencies_us, &audit_errors, &done_mu, &all_done,
-                  &pending] {
+    chunks.Submit([this, queries, begin, end, chunk_ctx, deadline, &staged,
+                   &latencies_us, &audit_errors] {
       // Explicit cross-thread handoff: the chunk span attaches under the
       // batch envelope (and an unsampled batch suppresses every nested
       // span on this worker for the chunk's duration).
@@ -394,8 +392,6 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
               "batch deadline passed before query chunk started"));
         }
         metrics_.deadline_abandoned->Increment(end - begin);
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--pending == 0) all_done.notify_one();
         return;
       }
       metrics_.inflight->Add(static_cast<double>(end - begin));
@@ -432,14 +428,9 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
         }
       }
       metrics_.inflight->Sub(static_cast<double>(end - begin));
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) all_done.notify_one();
     });
   }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    all_done.wait(lock, [&pending] { return pending == 0; });
-  }
+  chunks.Wait();
 
   std::vector<util::Result<core::EstimateStats>> results;
   results.reserve(n);

@@ -3,13 +3,16 @@
 // The paper's evaluation (§6, Table 2) runs thousand-query workloads
 // against one synopsis; this is the serving-shaped version of that setting:
 // the service holds one immutable FrozenSynopsis and fans batches of twig
-// queries out across a fixed thread pool. Every query runs as a compiled
-// program (core/compile.h) lowered through a shared TwigCompiler. Per-query
-// work is independent — the only cross-thread state is the compiler's
-// sharded descendant-path cache and the plan cache below — so results are
-// bit-identical to running Estimator::EstimateWithStats, the reference
-// interpreter, sequentially in batch order (estimates AND EstimateStats
-// counters; pinned by the differential harness).
+// queries out across a fixed thread pool, which its first EstimateBatch
+// spawns: a service that only prepares and executes holds no threads, so
+// creating one costs a compiler and a few registry lookups. Every query
+// runs as a compiled program (core/compile.h) lowered through a shared
+// TwigCompiler. Per-query work is independent — the only cross-thread
+// state is the compiler's sharded descendant-path cache and the plan cache
+// below — so results are bit-identical to running
+// Estimator::EstimateWithStats, the reference interpreter, sequentially in
+// batch order (estimates AND EstimateStats counters; pinned by the
+// differential harness).
 //
 // Every query is validated first: malformed twigs come back as per-query
 // Status::InvalidArgument entries, never aborts, and never poison the rest
@@ -64,8 +67,9 @@ namespace xsketch::service {
 std::string CanonicalTwigKey(const query::TwigQuery& twig);
 
 struct ServiceOptions {
-  // Worker threads estimating in parallel. 0 picks the hardware
-  // concurrency; otherwise must be >= 1.
+  // Worker threads estimating batches in parallel, spawned by the first
+  // EstimateBatch. 0 picks the hardware concurrency; otherwise must be
+  // >= 1.
   int num_threads = 0;
   // Queries per scheduled task. 0 picks a chunk size that gives each
   // worker ~4 chunks (bounds scheduling overhead while still smoothing
@@ -226,7 +230,8 @@ class EstimationService {
   // Tag names usable for parsing path queries against this service (the
   // frozen synopsis carries its own interner).
   const util::StringInterner& tags() const { return frozen_->tags(); }
-  int num_threads() const { return pool_.num_threads(); }
+  // The batch pool's configured size, whether or not it is spawned yet.
+  int num_threads() const { return num_threads_; }
 
  private:
   // `doc` is the audit's ground truth; null for services over a frozen
@@ -320,7 +325,10 @@ class EstimationService {
   // ExactEvaluator::Selectivity is const with call-local memoization, so
   // one instance serves all workers concurrently.
   std::unique_ptr<query::ExactEvaluator> exact_;
-  util::ThreadPool pool_;
+  // The batch pool, created once by the first EstimateBatch.
+  const int num_threads_;
+  std::once_flag pool_once_;
+  std::unique_ptr<util::ThreadPool> pool_;
   Metrics metrics_;
   // Request ordinal for the deterministic trace sampling mask; only
   // touched when trace_sample_rate > 0.

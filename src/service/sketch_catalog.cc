@@ -8,13 +8,22 @@
 
 namespace xsketch::service {
 
+util::Status CatalogOptions::Validate() const {
+  if (util::Status st = service.Validate(); !st.ok()) return st;
+  if (service.audit_fraction > 0.0) {
+    return util::Status::InvalidArgument(
+        "service.audit_fraction must be 0: catalog sketches are mapped "
+        "images with no source document to audit against");
+  }
+  return util::Status::OK();
+}
+
 util::Result<std::shared_ptr<const core::CompiledTwig>>
 SketchHandle::Prepare(const query::TwigQuery& twig) const {
   if (!valid()) {
     return util::Status::InvalidArgument("empty sketch handle");
   }
-  if (util::Status st = twig.Validate(); !st.ok()) return st;
-  return compiler_->Compile(twig);
+  return service_->Prepare(twig);
 }
 
 util::Result<std::shared_ptr<const core::CompiledTwig>>
@@ -58,9 +67,8 @@ SketchCatalog::SketchCatalog(const CatalogOptions& options)
                     "measured bytes of resident frozen synopses");
 }
 
-util::Result<SketchHandle> SketchCatalog::Put(
-    const std::string& doc_id, const std::string& path,
-    std::vector<std::string>* evicted) {
+util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
+                                              const std::string& path) {
   if (doc_id.empty()) {
     return util::Status::InvalidArgument("doc_id must not be empty");
   }
@@ -70,9 +78,8 @@ util::Result<SketchHandle> SketchCatalog::Put(
   obs::TraceContext ctx = obs::CurrentTraceContext();
   if (!ctx.sampled()) ctx = obs::Tracer::Default().StartTrace();
   obs::SpanScope load_span(ctx, obs::Stage::kCatalogLoad);
-  // Load and compile outside the lock: a slow mmap + validation of one
-  // document must not stall lookups of the others. On failure the catalog
-  // is untouched.
+  // Load outside the lock: a slow mmap + validation of one document must
+  // not stall lookups of the others. On failure the catalog is untouched.
   util::Result<std::shared_ptr<const core::FrozenSynopsis>> frozen =
       [&] {
         obs::SpanScope mmap_span(obs::Stage::kCatalogMmap);
@@ -95,25 +102,32 @@ util::Result<SketchHandle> SketchCatalog::Put(
   handle.doc_id_ = doc_id;
   handle.frozen_ = std::move(frozen).value();
   handle.size_bytes_ = handle.frozen_->SizeBytes();
-  handle.compiler_ = std::make_shared<const core::TwigCompiler>(
-      handle.frozen_, options_.estimator);
 
+  // Generations leaving the catalog are destroyed after mu_ is released:
+  // the last reference to a service joins its batch pool.
+  std::vector<SketchHandle> released;
   obs::SpanScope swap_span(obs::Stage::kCatalogSwap);
   std::lock_guard<std::mutex> lock(mu_);
   handle.generation_ = next_generation_++;
   swap_span.set_arg(handle.generation_);
+  // Cheap under the lock (the pool waits for the first batch), and
+  // infallible: Create validated the options, and the image is loaded.
+  ServiceOptions service_options = options_.service;
+  service_options.sketch_generation = handle.generation_;
+  handle.service_ =
+      EstimationService::Create(handle.frozen_, service_options).value();
   ++counters_.loads;
   metrics_.loads->Increment();
   auto it = index_.find(doc_id);
   if (it != index_.end()) {
     // Atomic hot swap: the old generation leaves the catalog here, but
-    // any outstanding handle still pins its mapping. Gauge deltas (not
-    // Set) so concurrent catalogs sharing the process gauges never lose
-    // each other's updates.
+    // any outstanding handle still pins it. Gauge deltas (not Set) so
+    // concurrent catalogs sharing the process gauges never lose each
+    // other's updates.
     resident_bytes_ -= it->second->size_bytes_;
     metrics_.resident_bytes->Sub(
         static_cast<double>(it->second->size_bytes_));
-    *it->second = handle;
+    released.push_back(std::exchange(*it->second, handle));
     resident_bytes_ += handle.size_bytes_;
     metrics_.resident_bytes->Add(static_cast<double>(handle.size_bytes_));
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -126,7 +140,7 @@ util::Result<SketchHandle> SketchCatalog::Put(
     metrics_.resident_bytes->Add(static_cast<double>(handle.size_bytes_));
     metrics_.sketches->Add(1.0);
   }
-  EnforceBudgetLocked(doc_id, evicted);
+  EnforceBudgetLocked(doc_id, &released);
   return handle;
 }
 
@@ -145,26 +159,22 @@ util::Result<SketchHandle> SketchCatalog::Get(const std::string& doc_id) {
   return *it->second;
 }
 
-uint64_t SketchCatalog::CurrentGeneration(const std::string& doc_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(doc_id);
-  return it == index_.end() ? 0 : it->second->generation_;
-}
-
 bool SketchCatalog::Remove(const std::string& doc_id) {
+  SketchHandle removed;  // destroyed after mu_ is released, as in Put
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(doc_id);
   if (it == index_.end()) return false;
   resident_bytes_ -= it->second->size_bytes_;
   metrics_.resident_bytes->Sub(static_cast<double>(it->second->size_bytes_));
   metrics_.sketches->Sub(1.0);
+  removed = std::move(*it->second);
   lru_.erase(it->second);
   index_.erase(it);
   return true;
 }
 
 void SketchCatalog::EnforceBudgetLocked(const std::string& keep,
-                                        std::vector<std::string>* evicted) {
+                                        std::vector<SketchHandle>* evicted) {
   if (options_.byte_budget == 0) return;
   while (resident_bytes_ > options_.byte_budget && lru_.size() > 1) {
     // Evict from the cold end, but never the entry being installed — a
@@ -178,7 +188,7 @@ void SketchCatalog::EnforceBudgetLocked(const std::string& keep,
     metrics_.resident_bytes->Sub(static_cast<double>(victim->size_bytes_));
     metrics_.sketches->Sub(1.0);
     index_.erase(victim->doc_id_);
-    if (evicted != nullptr) evicted->push_back(victim->doc_id_);
+    evicted->push_back(std::move(*victim));
     lru_.erase(victim);
     ++counters_.evictions;
     metrics_.evictions->Increment();

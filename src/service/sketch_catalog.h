@@ -9,18 +9,24 @@
 // touched, and eviction is an munmap away.
 //
 // Concurrency and hot swap: every lookup returns a SketchHandle — an
-// immutable snapshot {frozen synopsis, compiler, generation}. Re-Putting a
-// document id atomically installs a new generation; existing handles (and
-// any CompiledTwig programs prepared through them) keep pinning the old
-// mapping via shared_ptr until they are dropped, so in-flight queries
-// never see a torn swap. The recommended file-replacement protocol is
-// write-to-temp + rename(2) + Put(): the old mapping stays valid because
-// mapped pages survive the rename/unlink of their path.
+// immutable snapshot {doc id, generation, size, mapping, service}. Each
+// generation owns its serving state: Put creates one EstimationService
+// (compiler, '//'-path cache, plan cache, and a batch pool its first
+// EstimateBatch spawns) stamped with the generation, and nothing else
+// builds one. Re-Putting a document id atomically installs a new
+// generation; existing handles keep pinning the old generation (and any
+// CompiledTwig programs prepared through them its mapping) via shared_ptr
+// until they are dropped, so in-flight queries never see a torn swap. The
+// last handle to go releases the service's compiler and pool, and the
+// mapping with them unless a prepared program still holds it. The
+// recommended file-replacement protocol is write-to-temp + rename(2) +
+// Put(): the old mapping stays valid because mapped pages survive the
+// rename/unlink of their path.
 //
 // Budget: the catalog evicts least-recently-used sketches whenever the
 // measured resident total (FrozenSynopsis::SizeBytes of catalog entries)
 // exceeds byte_budget. Handles outstanding at eviction time keep their
-// mapping alive — the budget bounds what the catalog retains, not what
+// generation alive — the budget bounds what the catalog retains, not what
 // callers still pin.
 //
 // Metrics (process-wide registry, obs/metrics.h): xsketch_catalog_
@@ -38,11 +44,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/compile.h"
 #include "core/frozen.h"
 #include "core/frozen_io.h"
 #include "obs/metrics.h"
 #include "query/twig.h"
+#include "service/estimation_service.h"
 #include "util/status.h"
 
 namespace xsketch::service {
@@ -52,17 +58,19 @@ struct CatalogOptions {
   // The most recently installed sketch is never evicted by its own
   // arrival, even when it alone exceeds the budget.
   uint64_t byte_budget = 0;
-  // Forwarded to each sketch's TwigCompiler.
-  core::EstimatorOptions estimator;
+  // Options of the service each Put creates for its generation (Put sets
+  // sketch_generation). A mapped image has no source document to audit
+  // against, so audit_fraction must be 0.
+  ServiceOptions service;
   // Forwarded to LoadFrozenFile for every Put.
   core::FrozenLoadOptions load;
 
-  util::Status Validate() const { return estimator.Validate(); }
+  util::Status Validate() const;
 };
 
 // An immutable snapshot of one catalog generation. Copyable and cheap;
-// holding it (or any program prepared through it) pins the underlying
-// mapping even across hot swaps and evictions.
+// holding it (or any program prepared through it) pins the generation's
+// mapping and service even across hot swaps and evictions.
 class SketchHandle {
  public:
   SketchHandle() = default;
@@ -77,9 +85,14 @@ class SketchHandle {
   std::shared_ptr<const core::FrozenSynopsis> frozen_ptr() const {
     return frozen_;
   }
+  // The generation's service; its flight records carry generation().
+  const std::shared_ptr<EstimationService>& service() const {
+    return service_;
+  }
 
-  // Lowers a twig against this snapshot. The returned program references
-  // the snapshot's frozen synopsis and keeps it (and the mapping) alive.
+  // Lowers a twig against this snapshot through the service's plan cache.
+  // The returned program references the snapshot's frozen synopsis and
+  // keeps it (and the mapping) alive.
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
   // Parses a '/tag//tag[lo..hi]' path against the snapshot's tag table,
@@ -93,7 +106,7 @@ class SketchHandle {
   uint64_t generation_ = 0;
   uint64_t size_bytes_ = 0;
   std::shared_ptr<const core::FrozenSynopsis> frozen_;
-  std::shared_ptr<const core::TwigCompiler> compiler_;
+  std::shared_ptr<EstimationService> service_;
 };
 
 class SketchCatalog {
@@ -104,23 +117,17 @@ class SketchCatalog {
   SketchCatalog(const SketchCatalog&) = delete;
   SketchCatalog& operator=(const SketchCatalog&) = delete;
 
-  // Loads `path` as an XSK3 mapping and installs it under `doc_id`,
-  // atomically replacing any existing generation (which outstanding
-  // handles keep pinned). Returns a handle to the new generation. On load
-  // failure the catalog is unchanged — a bad replacement file never
-  // clobbers a serving sketch. When `evicted` is non-null it receives the
-  // doc ids the byte budget evicted to make room.
+  // Loads `path` as an XSK3 mapping, creates its generation's service and
+  // installs both under `doc_id`, atomically replacing any existing
+  // generation (which outstanding handles keep pinned). Returns a handle
+  // to the new generation. On load failure the catalog is unchanged — a
+  // bad replacement file never clobbers a serving sketch.
   util::Result<SketchHandle> Put(const std::string& doc_id,
-                                 const std::string& path,
-                                 std::vector<std::string>* evicted = nullptr);
+                                 const std::string& path);
 
   // Returns the current generation for `doc_id` (touching it in the LRU
   // order), or NotFound.
   util::Result<SketchHandle> Get(const std::string& doc_id);
-
-  // The generation installed under `doc_id`, or 0 when absent. Unlike Get
-  // it neither touches the LRU order nor counts a hit or miss.
-  uint64_t CurrentGeneration(const std::string& doc_id) const;
 
   // Drops `doc_id` from the catalog; outstanding handles stay valid.
   // Returns false if absent.
@@ -142,10 +149,11 @@ class SketchCatalog {
  private:
   explicit SketchCatalog(const CatalogOptions& options);
 
-  // Evicts LRU entries (never `keep`) until the budget holds, appending
-  // their doc ids to `evicted` when it is non-null. Caller holds mu_.
+  // Evicts LRU entries (never `keep`) until the budget holds, moving them
+  // into `evicted`. Caller holds mu_ and destroys `evicted` after
+  // releasing it: the last reference to a service joins its batch pool.
   void EnforceBudgetLocked(const std::string& keep,
-                           std::vector<std::string>* evicted);
+                           std::vector<SketchHandle>* evicted);
 
   struct Metrics {
     obs::Counter* loads;

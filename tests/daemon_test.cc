@@ -15,7 +15,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "data/figures.h"
 #include "net/json.h"
 #include "net/wire.h"
+#include "obs/flight.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
 #include "testing/faultpoints.h"
@@ -405,6 +408,55 @@ TEST_F(DaemonTest, DeadlineExpiredInQueueAnswers504) {
   EXPECT_EQ(expired.load() + served.load(), 4);
 }
 
+TEST_F(DaemonTest, HttpDeadlineOutsideTheFrameRangeIsABadRequest) {
+  StartDaemon({});
+  // A deadline must fit the XSKB frame field, [0, 2^32 - 1] ms: the JSON
+  // field as a number, the header as a plain decimal integer. Anything
+  // else answers 400 and counts as an error, never as an expired or
+  // absent deadline.
+  const std::vector<std::string> bad_fields = {
+      "1e13", "1e300", "-5", "4294967296", "\"50\"", "null"};
+  const std::vector<std::string> bad_headers = {
+      "-5", "18446744073709551615", "4294967296", "abc", "50ms", "+5",
+      "5.5", ""};
+  const uint64_t errors_before = daemon_->stats().errors;
+  for (const std::string& field : bad_fields) {
+    auto resp = HttpRoundTrip(
+        port(), "POST", "/estimate",
+        R"({"doc":"bib","query":"//book","deadline_ms":)" + field + "}");
+    EXPECT_EQ(resp.status, 400) << "deadline_ms " << field << ": "
+                                << resp.body;
+  }
+  for (const std::string& header : bad_headers) {
+    auto resp = HttpRoundTrip(port(), "POST", "/batch",
+                              R"({"doc":"bib","queries":["//book"]})",
+                              "X-Deadline-Ms: " + header + "\r\n");
+    EXPECT_EQ(resp.status, 400) << "X-Deadline-Ms '" << header << "': "
+                                << resp.body;
+  }
+  EXPECT_EQ(daemon_->stats().errors,
+            errors_before + bad_fields.size() + bad_headers.size());
+  EXPECT_EQ(daemon_->stats().deadline_expired, 0u);
+
+  // In range: served. Fractions truncate; 0 means no deadline.
+  for (const char* field : {"4294967295", "60000.9", "0.5", "0"}) {
+    auto resp = HttpRoundTrip(
+        port(), "POST", "/estimate",
+        std::string(R"({"doc":"bib","query":"//book","deadline_ms":)") +
+            field + "}");
+    EXPECT_EQ(resp.status, 200) << "deadline_ms " << field << ": "
+                                << resp.body;
+  }
+  for (const char* header : {"4294967295", "60000", "0"}) {
+    auto resp = HttpRoundTrip(port(), "POST", "/estimate",
+                              R"({"doc":"bib","query":"//book"})",
+                              std::string("X-Deadline-Ms: ") + header +
+                                  "\r\n");
+    EXPECT_EQ(resp.status, 200) << "X-Deadline-Ms " << header << ": "
+                                << resp.body;
+  }
+}
+
 TEST_F(DaemonTest, BatchDeadlinePropagatesToChunks) {
   // Service-level check of the chunk-boundary contract the daemon relies
   // on: an already-expired deadline abandons every chunk with explicit
@@ -622,6 +674,91 @@ TEST_F(DaemonTest, HotSwapWhileServing) {
                              R"({"doc":"bib","query":"//book"})");
   ASSERT_EQ(still.status, 200);
   EXPECT_NE(still.body.find("\"generation\":2"), std::string::npos);
+}
+
+// The "generation" field of an /estimate response body.
+uint64_t GenerationOf(const std::string& body) {
+  const size_t at = body.find("\"generation\":");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(body.c_str() + at + 13, nullptr, 10);
+}
+
+TEST_F(DaemonTest, HotSwapsUnderLoadReleaseEveryReplacedGeneration) {
+  StartDaemon({});
+  std::vector<std::weak_ptr<const core::FrozenSynopsis>> replaced;
+  {
+    auto first = daemon_->catalog().Get("bib");
+    ASSERT_TRUE(first.ok());
+    replaced.push_back(first.value().frozen_ptr());
+  }
+
+  // Two clients alternate /estimate and /batch while the sketch is
+  // swapped 20 times under them.
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0}, failed{0}, regressed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([this, &stop, &rounds, &failed, &regressed] {
+      uint64_t last_generation = 0;
+      while (!stop.load()) {
+        auto est = HttpRoundTrip(port(), "POST", "/estimate",
+                                 R"({"doc":"bib","query":"//book"})");
+        auto batch = HttpRoundTrip(
+            port(), "POST", "/batch",
+            R"({"doc":"bib","queries":["//book","//book/author"]})");
+        if (est.status != 200 || batch.status != 200) failed.fetch_add(1);
+        const uint64_t generation = GenerationOf(est.body);
+        if (generation < last_generation) regressed.fetch_add(1);
+        last_generation = generation;
+        rounds.fetch_add(1);
+      }
+    });
+  }
+  const auto ramp_deadline = Clock::now() + std::chrono::seconds(5);
+  while (rounds.load() == 0 && Clock::now() < ramp_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  uint64_t last_generation = 0;
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(daemon_->AddSketch("bib", *sketch_path_).ok());
+    auto current = daemon_->catalog().Get("bib");
+    EXPECT_TRUE(current.ok());
+    if (!current.ok()) continue;
+    last_generation = current.value().generation();
+    if (i < 19) replaced.push_back(current.value().frozen_ptr());
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  stop.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_GT(rounds.load(), 0);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(regressed.load(), 0);
+
+  // A batch on the last generation records flights stamped with it.
+  obs::FlightRecorder::Default().Reset();
+  auto batch = HttpRoundTrip(
+      port(), "POST", "/batch",
+      R"({"doc":"bib","queries":["//book","//book/author"]})");
+  ASSERT_EQ(batch.status, 200) << batch.body;
+  const std::vector<obs::FlightRecord> records =
+      obs::FlightRecorder::Default().Dump();
+  ASSERT_EQ(records.size(), 2u);
+  for (const obs::FlightRecord& record : records) {
+    EXPECT_EQ(record.sketch_generation, last_generation);
+  }
+
+  // Every replaced generation goes once the workers drop its handle.
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  auto pinned = [&replaced] {
+    size_t n = 0;
+    for (const auto& weak : replaced) n += weak.expired() ? 0 : 1;
+    return n;
+  };
+  while (pinned() > 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pinned(), 0u) << "of " << replaced.size()
+                          << " replaced generations";
 }
 
 TEST_F(DaemonTest, BudgetEvictionReleasesTheEvictedSketch) {

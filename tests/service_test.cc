@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -193,6 +195,57 @@ TEST(EstimationServiceTest, MalformedQueriesFailPerQueryNotPerBatch) {
   for (size_t i : {0u, 1u, 3u, 4u}) {
     EXPECT_TRUE(results[i].ok()) << i;
   }
+}
+
+// Threads of this process, one entry each under /proc/self/task, read
+// once the count holds still: a joined thread can stay listed for a
+// moment after join returns.
+size_t ProcessThreads() {
+  auto count = [] {
+    size_t n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  size_t n = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const size_t again = count();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
+}
+
+// A service that only prepares and executes holds no threads; its first
+// batch spawns the pool, and later batches reuse it.
+TEST(EstimationServiceTest, FirstBatchSpawnsThePool) {
+  const std::vector<query::TwigQuery> queries = WorkloadQueries();
+  core::TwigXSketch sketch = core::TwigXSketch::Coarsest(XMarkDoc());
+  // Sanitizer runtimes start a helper thread beside the process's first
+  // one; start and join a thread so the counts below see only the pool.
+  std::thread([] {}).join();
+  const size_t before = ProcessThreads();
+
+  ServiceOptions opts;
+  opts.num_threads = 3;
+  auto svc = EstimationService::Create(sketch, opts);
+  ASSERT_TRUE(svc.ok());
+  EXPECT_EQ(svc.value()->num_threads(), 3);
+  auto plan = svc.value()->Prepare(queries[0]);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_GE(plan.value()->Execute(), 0.0);
+  EXPECT_TRUE(svc.value()->Estimate(queries[1]).ok());
+  EXPECT_EQ(ProcessThreads(), before);
+
+  svc.value()->EstimateBatch(queries);
+  EXPECT_EQ(ProcessThreads(), before + 3);
+  svc.value()->EstimateBatch(queries);
+  EXPECT_EQ(ProcessThreads(), before + 3);
+  EXPECT_EQ(svc.value()->num_threads(), 3);
 }
 
 TEST(EstimationServiceTest, EmptyBatch) {

@@ -277,41 +277,6 @@ TEST_F(TraceTest, ChromeJsonExport) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST_F(TraceTest, BinaryRoundTrip) {
-  obs::Tracer& tracer = obs::Tracer::Default();
-  const obs::TraceContext ctx = tracer.ForceTrace();
-  {
-    obs::SpanScope root(ctx, obs::Stage::kBatch, 3);
-    obs::SpanScope a(obs::Stage::kBatchChunk, 1);
-    obs::SpanScope b(obs::Stage::kExecute);
-  }
-  const std::vector<obs::Span> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-
-  const std::string bytes = obs::Tracer::ToBinary(spans);
-  auto restored = obs::Tracer::FromBinary(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored.value().size(), spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(restored.value()[i].trace_id, spans[i].trace_id);
-    EXPECT_EQ(restored.value()[i].span_id, spans[i].span_id);
-    EXPECT_EQ(restored.value()[i].parent_id, spans[i].parent_id);
-    EXPECT_EQ(restored.value()[i].start_ns, spans[i].start_ns);
-    EXPECT_EQ(restored.value()[i].dur_ns, spans[i].dur_ns);
-    EXPECT_EQ(restored.value()[i].arg, spans[i].arg);
-    EXPECT_EQ(restored.value()[i].tid, spans[i].tid);
-    EXPECT_EQ(restored.value()[i].stage, spans[i].stage);
-  }
-
-  // Corruption is rejected, not misparsed.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'Y';
-  EXPECT_FALSE(obs::Tracer::FromBinary(bad_magic).ok());
-  EXPECT_FALSE(
-      obs::Tracer::FromBinary(bytes.substr(0, bytes.size() - 1)).ok());
-  EXPECT_FALSE(obs::Tracer::FromBinary("XT").ok());
-}
-
 // --- EstimationService integration -------------------------------------------
 
 std::vector<query::TwigQuery> BibQueries(const xml::Document& doc) {

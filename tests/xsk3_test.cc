@@ -6,12 +6,10 @@
 // hardening.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -24,6 +22,7 @@
 #include "data/xmark.h"
 #include "query/workload.h"
 #include "service/sketch_catalog.h"
+#include "temp_file.h"
 #include "util/mmap_file.h"
 #include "xsketch_api.h"
 
@@ -118,18 +117,12 @@ void ExpectBitIdenticalPrograms(const core::TwigXSketch& sketch,
   auto image = core::SaveFrozen(*frozen);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
-  // Through the mmap path: write to disk, map, load. The file is named
-  // per test and process: ctest runs each case as its own process, and
-  // rewriting a file another process has mapped kills that one by SIGBUS.
-  const ::testing::TestInfo* test =
-      ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string path =
-      TempPath(std::string(test->name()) + "." + std::to_string(::getpid()) +
-               ".xsk3");
-  ASSERT_TRUE(core::SaveFrozenToFile(*frozen, path).ok());
+  // Through the mmap path: write to disk, map, load.
+  const TempFile file("image.xsk3");
+  ASSERT_TRUE(core::SaveFrozenToFile(*frozen, file.path()).ok());
   core::FrozenLoadOptions opts;
   opts.verify_checksums = true;
-  auto loaded = core::LoadFrozenFile(path, opts);
+  auto loaded = core::LoadFrozenFile(file.path(), opts);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded.value()->node_count(), frozen->node_count());
@@ -151,7 +144,6 @@ void ExpectBitIdenticalPrograms(const core::TwigXSketch& sketch,
     EXPECT_EQ(hs.conditioned_nodes, ms.conditioned_nodes);
     EXPECT_EQ(hs.value_fractions, ms.value_fractions);
   }
-  std::remove(path.c_str());
 }
 
 TEST(Xsk3RoundTripTest, CoarsestXMark) {
@@ -192,11 +184,11 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const core::FrozenSynopsis frozen(sketch);
-  const std::string path = TempPath("session.xsk3");
-  ASSERT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
+  const TempFile file("session.xsk3");
+  ASSERT_TRUE(core::SaveFrozenToFile(frozen, file.path()).ok());
 
   auto heap = api::Session::Open(core::TwigXSketch(sketch));
-  auto mapped = api::Session::OpenMapped(path);
+  auto mapped = api::Session::OpenMapped(file.path());
   ASSERT_TRUE(heap.ok());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(heap.value().has_sketch());
@@ -390,9 +382,9 @@ TEST(MappedFileTest, ErrorsAndEmptyFiles) {
   // A directory is not mappable sketch storage.
   EXPECT_FALSE(util::MappedFile::Open(::testing::TempDir()).ok());
   // Zero-length file: mappable (no pages), but not a valid XSK3 image.
-  const std::string path = TempPath("empty.bin");
-  WriteFile(path, "");
-  auto mapped = util::MappedFile::Open(path);
+  const TempFile empty("empty.bin");
+  WriteFile(empty.path(), "");
+  auto mapped = util::MappedFile::Open(empty.path());
   ASSERT_TRUE(mapped.ok());
   EXPECT_EQ(mapped.value()->size(), 0u);
   EXPECT_FALSE(core::LoadFrozen(mapped.value()).ok());
@@ -400,18 +392,19 @@ TEST(MappedFileTest, ErrorsAndEmptyFiles) {
 
 // --- SketchCatalog -------------------------------------------------------
 
-std::string SaveSketchAs(const core::TwigXSketch& sketch,
-                         const std::string& name) {
+// Freezes `sketch` into `file` and returns its path.
+const std::string& SaveSketchAs(const core::TwigXSketch& sketch,
+                                const TempFile& file) {
   const core::FrozenSynopsis frozen(sketch);
-  const std::string path = TempPath(name);
-  EXPECT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
-  return path;
+  EXPECT_TRUE(core::SaveFrozenToFile(frozen, file.path()).ok());
+  return file.path();
 }
 
 TEST(SketchCatalogTest, PutGetRemoveAndStats) {
   xml::Document doc = data::MakeBibliography();
-  const std::string path =
-      SaveSketchAs(core::TwigXSketch::Coarsest(doc), "cat_a.xsk3");
+  const TempFile file("cat_a.xsk3");
+  const std::string& path =
+      SaveSketchAs(core::TwigXSketch::Coarsest(doc), file);
 
   auto catalog = service::SketchCatalog::Create();
   ASSERT_TRUE(catalog.ok());
@@ -450,10 +443,11 @@ TEST(SketchCatalogTest, HotSwapPinsOldGeneration) {
   xml::Document doc = data::MakeBibliography();
   core::CoarsestOptions small;
   small.initial_buckets = 2;
-  const std::string v1 =
-      SaveSketchAs(core::TwigXSketch::Coarsest(doc, small), "swap_v1.xsk3");
-  const std::string v2 =
-      SaveSketchAs(core::TwigXSketch::Coarsest(doc), "swap_v2.xsk3");
+  const TempFile v1_file("swap_v1.xsk3"), v2_file("swap_v2.xsk3");
+  const std::string& v1 =
+      SaveSketchAs(core::TwigXSketch::Coarsest(doc, small), v1_file);
+  const std::string& v2 =
+      SaveSketchAs(core::TwigXSketch::Coarsest(doc), v2_file);
 
   auto catalog = service::SketchCatalog::Create();
   ASSERT_TRUE(catalog.ok());
@@ -486,10 +480,10 @@ TEST(SketchCatalogTest, HotSwapPinsOldGeneration) {
 TEST(SketchCatalogTest, ByteBudgetEvictsLru) {
   xml::Document bib = data::MakeBibliography();
   xml::Document xmark = data::GenerateXMark({.seed = 1, .scale = 0.02});
-  const std::string a =
-      SaveSketchAs(core::TwigXSketch::Coarsest(bib), "lru_a.xsk3");
-  const std::string b =
-      SaveSketchAs(core::TwigXSketch::Coarsest(xmark), "lru_b.xsk3");
+  const TempFile a_file("lru_a.xsk3"), b_file("lru_b.xsk3");
+  const std::string& a = SaveSketchAs(core::TwigXSketch::Coarsest(bib), a_file);
+  const std::string& b =
+      SaveSketchAs(core::TwigXSketch::Coarsest(xmark), b_file);
 
   // Budget fits either sketch alone but not both.
   auto probe = core::LoadFrozenFile(a);
@@ -521,6 +515,38 @@ TEST(SketchCatalogTest, ByteBudgetEvictsLru) {
   ASSERT_TRUE(tiny_catalog.ok());
   EXPECT_TRUE(tiny_catalog.value()->Put("a", a).ok());
   EXPECT_EQ(tiny_catalog.value()->stats().sketches, 1u);
+}
+
+TEST(SketchCatalogTest, EachGenerationOwnsOneService) {
+  // A mapped image has no document to audit against.
+  service::CatalogOptions audit;
+  audit.service.audit_fraction = 0.1;
+  auto rejected = service::SketchCatalog::Create(audit);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
+
+  xml::Document doc = data::MakeBibliography();
+  const TempFile file("own.xsk3");
+  const std::string& path =
+      SaveSketchAs(core::TwigXSketch::Coarsest(doc), file);
+  service::CatalogOptions copts;
+  copts.service.num_threads = 2;
+  auto catalog = service::SketchCatalog::Create(copts);
+  ASSERT_TRUE(catalog.ok());
+  auto h1 = catalog.value()->Put("bib", path);
+  auto h2 = catalog.value()->Put("bib", path);
+  ASSERT_TRUE(h1.ok() && h2.ok());
+  ASSERT_NE(h1.value().service(), nullptr);
+  EXPECT_NE(h1.value().service(), h2.value().service());
+  EXPECT_EQ(h2.value().service()->num_threads(), 2);
+  EXPECT_EQ(catalog.value()->Get("bib").value().service(),
+            h2.value().service());
+
+  // Prepare goes through the generation's plan cache.
+  ASSERT_TRUE(h2.value().Prepare(std::string("//book")).ok());
+  ASSERT_TRUE(h2.value().Prepare(std::string("//book")).ok());
+  EXPECT_EQ(h2.value().service()->plan_cache_counters().hits, 1u);
+  EXPECT_EQ(h1.value().service()->plan_cache_counters().lookups, 0u);
 }
 
 // --- plan-cache key injectivity (regression, satellite) ------------------
@@ -583,7 +609,8 @@ TEST(Xsk2FileTest, TruncatedFileOnDiskIsAnError) {
   xml::Document doc = data::MakeBibliography();
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const std::string bytes = core::SaveSketch(sketch);
-  const std::string path = TempPath("trunc.xsk2");
+  const TempFile file("trunc.xsk2");
+  const std::string& path = file.path();
 
   // Full file round-trips.
   WriteFile(path, bytes);
